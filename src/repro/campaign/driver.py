@@ -38,7 +38,7 @@ from ..core.generator import (
     coerce_root_seed,
 )
 from ..dataset.records import SessionArena
-from ..io.cache import ArtifactCache, CacheError, content_key
+from ..io.cache import ArtifactCache, CacheError, Described, content_key
 from ..obs.progress import ProgressTracker
 from ..pipeline.context import mint_trace_id
 from ..pipeline.executors import ParallelExecutor, SerialExecutor, peak_rss_mb
@@ -231,36 +231,41 @@ def _run_shard(item: tuple) -> dict:
     return aggregate.to_dict()
 
 
-def _shard_key(
-    shard: Shard,
-    arrivals: dict,
-    mix,
-    bank,
-    root_seed: int,
-    precision: int,
-    hll_seed: int,
-) -> str:
+def _key_constants(mix, bank, root_seed: int, precision: int, hll_seed: int) -> dict:
+    """The part of every shard's content key that is fixed for the run.
+
+    Serializing and canonicalizing the model bank dominates keying, so
+    :func:`run_campaign` derives this once and :func:`_shard_key` only
+    adds each shard's own facts.
+    """
+    return {
+        "artifact": "campaign-shard-aggregate",
+        "format": SKETCH_FORMAT_VERSION,
+        "mix": Described(mix.probabilities()),
+        "bank": Described(json.loads(bank.to_json())),
+        "seed": root_seed,
+        "hll": {"precision": precision, "seed": hll_seed},
+    }
+
+
+def _shard_key(shard: Shard, arrivals: dict, constants: dict) -> str:
     """Content key of one shard's checkpoint aggregate.
 
     Derived from the facts that determine the aggregate's bytes: the
     shard's own models, the root seed, the unit set and the sketch
-    configuration (including the serialization format version).  The
-    chunk budget is deliberately excluded — chunking cannot change the
-    aggregate, so re-running with a different budget still resumes.
-    Scoping the models to the shard's BSs means growing the campaign
-    never invalidates already-completed shards.
+    configuration (including the serialization format version), the
+    run-wide ones coming from :func:`_key_constants`.  The chunk budget
+    is deliberately excluded — chunking cannot change the aggregate, so
+    re-running with a different budget still resumes.  Scoping the
+    models to the shard's BSs means growing the campaign never
+    invalidates already-completed shards.
     """
     return content_key(
         {
-            "artifact": "campaign-shard-aggregate",
-            "format": SKETCH_FORMAT_VERSION,
-            "mix": mix.probabilities(),
-            "bank": json.loads(bank.to_json()),
+            **constants,
             "arrivals": {str(bs_id): arrivals[bs_id] for bs_id in shard.bs_ids},
             "day": shard.day,
             "bs_ids": list(shard.bs_ids),
-            "seed": root_seed,
-            "hll": {"precision": precision, "seed": hll_seed},
         }
     )
 
@@ -357,16 +362,14 @@ def run_campaign(
     keys: dict[int, str] = {}
     resumed: dict[int, CampaignAggregate] = {}
     pending: list[Shard] = []
+    if cache is not None:
+        constants = _key_constants(
+            generator.mix, generator.bank, root_seed, hll_precision, hll_seed
+        )
     for shard in shards:
         if cache is not None:
             keys[shard.index] = _shard_key(
-                shard,
-                generator.arrival_models,
-                generator.mix,
-                generator.bank,
-                root_seed,
-                hll_precision,
-                hll_seed,
+                shard, generator.arrival_models, constants
             )
         restored = None
         if (

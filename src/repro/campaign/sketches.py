@@ -10,9 +10,14 @@ serial, parallel and kill-then-resume runs.
 Exactness is engineered, not assumed:
 
 * counts and histogram bins are integers — integer addition is exact;
+  bin indices come from arithmetic on the fixed grid plus one exact
+  comparison against the real edges (:class:`FixedHistogram`);
 * value sums (:class:`Moments`) are kept as **integers in fixed power-of-two
-  quanta** (e.g. volumes in 2^-20 MB ≈ bytes), accumulated into unbounded
-  Python ints, so no float rounding ever depends on the merge order;
+  quanta** (e.g. volumes in 2^-20 MB ≈ bytes), so no float rounding ever
+  depends on the merge order.  A chunk's quanta are summed exactly in
+  vectorized ``int64`` limbs — one cast, 31-bit halves when the total
+  could overflow, mantissa/shift limbs beyond 2^62 — at any finite
+  magnitude; only per-chunk totals become unbounded Python ints;
 * minima/maxima and HyperLogLog register maxima are order-free by
   construction.
 
@@ -35,6 +40,7 @@ originals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,15 +75,24 @@ DEFAULT_HLL_PRECISION = 14
 #: Default seed of the session-fingerprint hash feeding the HLL.
 DEFAULT_HLL_SEED = 0x5E55104E
 
-#: Quantized magnitudes at or beyond this bound fall back to exact Python
-#: ints (numpy int64 could overflow); below it the fast array path is safe.
+#: Quantized magnitudes below this bound convert to ``int64`` directly
+#: (larger ones split into mantissa/shift limbs), and int64 sums whose
+#: every partial sum stays below it cannot overflow.
 _INT64_SAFE = 1 << 62
+
+#: A float64 holds every integer up to 2**53 exactly, so float sums whose
+#: every partial sum stays below it are exact.
+_FLOAT_EXACT = float(1 << 53)
+
+#: Low half of a limb split into 31-bit halves.
+_HALF_MASK = np.int64((1 << 31) - 1)
 
 #: splitmix64 constants (Steele et al.), the 64-bit finalizer mixing each
 #: fingerprint component.
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM_M2 = np.uint64(0x94D049BB133111EB)
+_SM_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
 
 
 class SketchError(ValueError):
@@ -87,77 +102,112 @@ class SketchError(ValueError):
 # ----------------------------------------------------------------------
 # Exact integer accumulation helpers
 # ----------------------------------------------------------------------
-def _quantize(values: np.ndarray, quantum_log2: int) -> np.ndarray | list[int]:
+def _quantize(
+    values: np.ndarray, quantum_log2: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Map float values to exact integers in ``2**-quantum_log2`` quanta.
 
-    ``ldexp`` scales by a power of two without introducing rounding beyond
-    the final ``rint``; the result is the same no matter where or in what
-    batch the value is quantized.  Magnitudes that would not fit ``int64``
-    (pathological duration tails) fall back to exact Python ints.
+    Scaling by a power of two is exact, so the only rounding is the final
+    ``rint``; the result is the same no matter where or in what batch the
+    value is quantized.  The integers stay in float64, which holds each of
+    them exactly at any finite magnitude (:func:`_int64_limbs` splits them
+    for exact summation).  ``out`` may be ``values`` itself.
     """
-    scaled = np.rint(np.ldexp(np.asarray(values, dtype=np.float64), quantum_log2))
-    if scaled.size and float(np.abs(scaled).max()) >= float(_INT64_SAFE):
-        return [int(x) for x in scaled]
-    return scaled.astype(np.int64)
+    scaled = np.multiply(values, 2.0**quantum_log2, out=out)
+    return np.rint(scaled, out=scaled)
 
 
-def _exact_sum(quantized: np.ndarray | list[int]) -> int:
+def _int64_limbs(
+    quantized: np.ndarray, high: float, low: float
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Split quantized float64 integers exactly into ``int64`` limbs.
+
+    ``high``/``low`` are the array's maximum and minimum.  Returns
+    ``(limb, shift)`` with ``value == limb << shift`` row by row and
+    ``|limb| < 2**62`` (``shift`` None means zero everywhere).  Values
+    below 2^62 — every realistic chunk — convert in one cast; otherwise
+    each value splits into its 53-bit mantissa and a power-of-two shift,
+    which is exact at any finite magnitude.
+    """
+    if high < _INT64_SAFE and -low < _INT64_SAFE:
+        return quantized.astype(np.int64), None
+    if not (np.isfinite(high) and np.isfinite(low)):
+        raise SketchError("cannot accumulate non-finite values exactly")
+    fraction, exponent = np.frexp(quantized)
+    shift = np.maximum(exponent - 53, 0)
+    return np.ldexp(fraction, exponent - shift).astype(np.int64), shift
+
+
+def _exact_bincount(
+    index: np.ndarray, limb: np.ndarray, shift: np.ndarray | None, minlength: int
+) -> list[int]:
+    """Per-bucket exact sums of ``limb << shift`` (see :func:`_int64_limbs`).
+
+    Each ``int64`` limb splits into 31-bit halves, binned together with
+    its shift in blocks of 2^22 rows: every float64 partial sum then stays
+    within 2^53, where ``np.bincount`` is exact.  Bucket totals recombine
+    into unbounded Python ints.
+    """
+    totals = [0] * minlength
+    n_shifts = 1 if shift is None else int(shift.max()) + 1
+    key = index if shift is None else index * n_shifts + shift
+    for lo in range(0, limb.size, 1 << 22):
+        block, keys = limb[lo : lo + (1 << 22)], key[lo : lo + (1 << 22)]
+        for offset, part in ((0, block & _HALF_MASK), (31, block >> 31)):
+            sums = np.bincount(
+                keys,
+                weights=part.astype(np.float64),
+                minlength=minlength * n_shifts,
+            )
+            for flat in np.flatnonzero(sums):
+                bucket, row_shift = divmod(int(flat), n_shifts)
+                totals[bucket] += int(sums[flat]) << (row_shift + offset)
+    return totals
+
+
+def _exact_sum(quantized: np.ndarray) -> int:
     """Sum quantized integers exactly into an unbounded Python int.
 
-    numpy's ``int64`` partial sums are used in blocks sized so they cannot
-    overflow given the block's own maximum element; block totals accumulate
-    in Python ints, which are exact at any magnitude.
+    ``int64`` limbs sum directly while ``max * rows`` stays below 2^62,
+    as 31-bit halves otherwise (each half sums below 2^62 over 2^31
+    rows), and through :func:`_exact_bincount` when the limbs carry
+    shifts.
     """
-    if isinstance(quantized, list):
-        return sum(quantized)
     if quantized.size == 0:
         return 0
-    bound = int(np.abs(quantized).max())
-    if bound == 0:
-        return 0
-    block = max(1, min(quantized.size, _INT64_SAFE // (bound + 1)))
+    high, low = float(quantized.max()), float(quantized.min())
+    limb, shift = _int64_limbs(quantized, high, low)
+    if shift is not None:
+        single = np.zeros(limb.size, dtype=np.intp)
+        return _exact_bincount(single, limb, shift, 1)[0]
+    if max(high, -low) * limb.size < _INT64_SAFE:
+        return int(limb.sum())
     total = 0
-    for lo in range(0, quantized.size, block):
-        total += int(quantized[lo : lo + block].sum(dtype=np.int64))
+    for lo in range(0, limb.size, 1 << 31):
+        block = limb[lo : lo + (1 << 31)]
+        total += int((block & _HALF_MASK).sum())
+        total += int((block >> 31).sum()) << 31
     return total
 
 
 def _exact_weighted_bincount(
-    index: np.ndarray, quantized: np.ndarray | list[int], minlength: int
+    index: np.ndarray, quantized: np.ndarray, minlength: int
 ) -> list[int]:
     """Per-bucket exact integer sums of non-negative quantized weights.
 
-    ``np.bincount`` with float64 weights is exact only while every partial
-    sum stays below 2^53, so each weight is split into three 21-bit limbs
-    and the input is processed in blocks of at most 2^22 rows: limb terms
-    are below 2^21, block partial sums below 2^43 — always exact.  Limb
-    totals recombine into unbounded Python ints.
+    One float64 ``np.bincount`` when ``max * rows`` stays below 2^53 (so
+    every partial sum is an exact float), else :func:`_exact_bincount`.
     """
-    totals = [0] * minlength
-    if isinstance(quantized, list):  # pragma: no cover - pathological tails
-        for i, q in zip(index, quantized):
-            if q < 0:
-                raise SketchError("weighted bincount requires >= 0 weights")
-            totals[int(i)] += q
-        return totals
-    if quantized.size and int(quantized.min()) < 0:
+    if quantized.size == 0:
+        return [0] * minlength
+    high, low = float(quantized.max()), float(quantized.min())
+    if not low >= 0:
         raise SketchError("weighted bincount requires >= 0 weights")
-    limb_mask = np.int64((1 << 21) - 1)
-    for lo in range(0, quantized.size, 1 << 22):
-        idx = index[lo : lo + (1 << 22)]
-        block = quantized[lo : lo + (1 << 22)]
-        for limb in range(3):
-            part = (block >> np.int64(21 * limb)) & limb_mask
-            if not part.any():
-                continue
-            sums = np.bincount(
-                idx, weights=part.astype(np.float64), minlength=minlength
-            )
-            shift = 21 * limb
-            for service, value in enumerate(sums):
-                if value:
-                    totals[service] += int(value) << shift
-    return totals
+    if high * quantized.size < _FLOAT_EXACT:
+        sums = np.bincount(index, weights=quantized, minlength=minlength)
+        return [int(value) for value in sums]
+    limb, shift = _int64_limbs(quantized, high, low)
+    return _exact_bincount(index, limb, shift, minlength)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -174,12 +224,12 @@ class Moments:
     """Count/sum/second-moment accumulator on exact integer quanta.
 
     ``total_q`` and ``total_sq_q`` are unbounded Python ints counting
-    ``2**-quantum_log2`` (resp. ``2**-sq_quantum_log2``) units, so update
-    and merge are exact in any order; minima and maxima are float but
-    order-free.  The empty accumulator is the merge identity: folding it
-    in changes nothing, and every derivation (:meth:`mean`,
-    :meth:`variance`) is total — zero counts yield 0.0, never a NaN or a
-    division error.
+    ``2**-quantum_log2`` (resp. ``2**-sq_quantum_log2``) units, summed
+    through exact ``int64`` limbs, so update and merge are exact in any
+    order; minima and maxima are float but order-free.  The empty
+    accumulator is the merge identity: folding it in changes nothing,
+    and every derivation (:meth:`mean`, :meth:`variance`) is total —
+    zero counts yield 0.0, never a NaN or a division error.
     """
 
     quantum_log2: int
@@ -190,15 +240,25 @@ class Moments:
     minimum: float | None = None
     maximum: float | None = None
 
-    def update(self, values: np.ndarray) -> "Moments":
-        """Fold a batch of raw float values in; returns ``self``."""
+    def update(
+        self, values: np.ndarray, quantized: np.ndarray | None = None
+    ) -> "Moments":
+        """Fold a batch of raw float values in; returns ``self``.
+
+        ``quantized``, when given, must be ``values`` already quantized
+        at :attr:`quantum_log2` (callers that need the quanta themselves
+        pass them in rather than quantizing twice).
+        """
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             return self
+        if quantized is None:
+            quantized = _quantize(values, self.quantum_log2)
         self.count += int(values.size)
-        self.total_q += _exact_sum(_quantize(values, self.quantum_log2))
+        self.total_q += _exact_sum(quantized)
+        squares = np.square(values)
         self.total_sq_q += _exact_sum(
-            _quantize(np.square(values), self.sq_quantum_log2)
+            _quantize(squares, self.sq_quantum_log2, out=squares)
         )
         low, high = float(values.min()), float(values.max())
         self.minimum = low if self.minimum is None else min(self.minimum, low)
@@ -288,6 +348,77 @@ class Moments:
 # ----------------------------------------------------------------------
 # Fixed-bin histogram
 # ----------------------------------------------------------------------
+#: Largest magnitude of ``log(v)`` over positive finite doubles; bounds the
+#: absolute rounding error of a logarithmic bin position.
+_LOG_RANGE = 745.0
+
+
+@dataclass(frozen=True)
+class _BinGuess:
+    """Arithmetic bin guess ``floor((T(v) - origin) * scale)`` of a grid.
+
+    ``T`` is the identity for a uniform grid and ``log`` for a geometric
+    one.  ``origin`` sits half a bin above the first edge, so a guess is
+    either the true bin or the one below it.  ``upper`` holds each bin's
+    upper edge, the last one NaN: comparisons with NaN are false, so the
+    correction never steps past the last bin.
+    """
+
+    log: bool
+    first: float
+    origin: float
+    scale: float
+    upper: np.ndarray
+
+    @classmethod
+    def of(cls, edges: np.ndarray) -> "_BinGuess | None":
+        """The guess of a uniform or geometric grid; None for any other.
+
+        A guess is accepted when every edge's computed position is within
+        a quarter bin of half a bin below its index, rounding included.
+        A value in bin ``j`` then sits at a position in
+        ``[j - 0.75, j + 0.75)``, up to the far smaller rounding of ``T``
+        and the affine map, so its guess is ``j`` or ``j - 1`` — and one
+        comparison against the guessed bin's upper edge corrects it.
+        """
+        n_bins = edges.size - 1
+        candidates = [(False, edges, float(np.abs(edges).max()))]
+        if edges[0] > 0:
+            candidates.append((True, np.log(edges), _LOG_RANGE))
+        for log, points, reach in candidates:
+            with np.errstate(all="ignore"):  # degenerate grids: NaN drift
+                scale = n_bins / float(points[-1] - points[0])
+                origin = float(points[0]) + 0.5 / scale
+                drift = np.abs(
+                    (points - origin) * scale - (np.arange(edges.size) - 0.5)
+                )
+            slack = 2.0**-40 * scale * (reach + abs(origin))
+            if float(drift.max()) + slack <= 0.25:
+                upper = edges[1:].copy()
+                upper[-1] = np.nan
+                return cls(log, float(edges[0]), origin, scale, upper)
+        return None
+
+    def index(self, values: np.ndarray) -> np.ndarray:
+        """Clipped bin index of every value (NaN and +inf: last bin)."""
+        with np.errstate(over="ignore"):  # huge values: +-inf, clipped below
+            if self.log:
+                # log(v) of v at or below the first edge would be -inf or
+                # NaN; clamping keeps those in bin 0, NaN stays NaN.
+                position = np.maximum(values, self.first)
+                np.log(position, out=position)
+                position -= self.origin
+            else:
+                position = values - self.origin
+            position *= self.scale
+        # fmin maps NaN to the last bin; no NaN is left for maximum.
+        np.fmin(position, self.upper.size - 1, out=position)
+        np.maximum(position, 0, out=position)
+        index = position.astype(np.intp)
+        index += values >= np.take(self.upper, index)
+        return index
+
+
 class FixedHistogram:
     """Integer-count histogram over a fixed, shared bin grid.
 
@@ -324,17 +455,29 @@ class FixedHistogram:
         """Total number of binned values."""
         return int(self.counts.sum())
 
+    @cached_property
+    def _guess(self) -> _BinGuess | None:
+        """Arithmetic bin guess of the grid, derived on first update."""
+        return _BinGuess.of(self.edges)
+
     def update(self, values: np.ndarray) -> "FixedHistogram":
         """Bin a batch of raw values in place; returns ``self``.
 
         A value exactly on an interior edge lands in the right bin
         (half-open bins), matching ``np.histogram`` on the same grid.
+        Uniform and geometric grids locate bins by arithmetic plus an
+        exact one-step correction against the edges; any other grid uses
+        a binary search.  Both equal ``searchsorted(side="right") - 1``,
+        clipped to the grid, for every input.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             return self
-        idx = np.searchsorted(self.edges, values, side="right") - 1
-        np.clip(idx, 0, self.n_bins - 1, out=idx)
+        if self._guess is not None:
+            idx = self._guess.index(values)
+        else:
+            idx = np.searchsorted(self.edges, values, side="right") - 1
+            np.clip(idx, 0, self.n_bins - 1, out=idx)
         self.counts += np.bincount(idx, minlength=self.n_bins)
         return self
 
@@ -376,31 +519,40 @@ class FixedHistogram:
 # ----------------------------------------------------------------------
 # HyperLogLog
 # ----------------------------------------------------------------------
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer over uint64 (wrapping arithmetic)."""
+def _splitmix64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64 finalizer of a uint64 buffer, in place; returns ``z``.
+
+    Wrapping uint64 arithmetic.  ``scratch`` (same shape, uint64) holds
+    the shifted terms, so callers mixing many rounds allocate it once.
+    """
+    if scratch is None:
+        scratch = np.empty_like(z)
+    shift_a, shift_b, shift_c = _SM_SHIFTS
     with np.errstate(over="ignore"):
-        z = (x + _SM_GAMMA).astype(np.uint64)
-        z = (z ^ (z >> np.uint64(30))) * _SM_M1
-        z = (z ^ (z >> np.uint64(27))) * _SM_M2
-        return z ^ (z >> np.uint64(31))
+        z += _SM_GAMMA
+        np.right_shift(z, shift_a, out=scratch)
+        z ^= scratch
+        z *= _SM_M1
+        np.right_shift(z, shift_b, out=scratch)
+        z ^= scratch
+        z *= _SM_M2
+        np.right_shift(z, shift_c, out=scratch)
+        z ^= scratch
+    return z
 
 
-def _bit_length_u64(values: np.ndarray) -> np.ndarray:
+def _bit_length(values: np.ndarray) -> np.ndarray:
     """Exact vectorized bit length of uint64 values (0 for zero).
 
-    A six-step binary search over shifts — unlike ``log2``-based tricks it
-    is exact for every input, which keeps HLL ranks (and therefore merged
-    registers) identical wherever they are computed.
+    Each 32-bit half converts to float64 exactly, and the ``frexp``
+    exponent of an exact float is its bit length — so, unlike ``log2``
+    of the whole value, the result is exact for every input, which keeps
+    HLL ranks (and therefore merged registers) identical wherever they
+    are computed.
     """
-    length = np.zeros(values.shape, dtype=np.int64)
-    work = values.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        step = np.uint64(shift)
-        big = work >= (np.uint64(1) << step)
-        length[big] += shift
-        work[big] >>= step
-    length += work.astype(np.int64)  # remaining 0/1 bit
-    return length
+    high = np.frexp((values >> np.uint64(32)).astype(np.float64))[1]
+    low = np.frexp((values & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
+    return np.where(high > 0, high + 32, low)
 
 
 class HyperLogLog:
@@ -457,20 +609,27 @@ class HyperLogLog:
         hashes = np.ascontiguousarray(hashes, dtype=np.uint64)
         if hashes.size == 0:
             return self
-        tail_bits = np.uint64(64 - self.precision)
-        idx = (hashes >> tail_bits).astype(np.intp)
-        tail = hashes & ((np.uint64(1) << tail_bits) - np.uint64(1))
-        rank = (
-            int(tail_bits) + 1 - _bit_length_u64(tail)
-        ).astype(np.uint8)
-        np.maximum.at(self.registers, idx, rank)
+        tail_bits = 64 - self.precision
+        idx = (hashes >> np.uint64(tail_bits)).astype(np.intp)
+        tail = hashes & np.uint64((1 << tail_bits) - 1)
+        # A rank exceeds register r exactly when the tail is below
+        # 2**(tail_bits - r); other rows cannot raise any register, so
+        # only the rest are ranked and folded in.
+        room = tail_bits - self.registers.astype(np.int64)
+        threshold = np.where(
+            room >= 0,
+            np.left_shift(np.uint64(1), np.maximum(room, 0).astype(np.uint64)),
+            np.uint64(0),
+        )
+        rows = np.flatnonzero(tail < np.take(threshold, idx))
+        if rows.size:
+            rank = (tail_bits + 1 - _bit_length(tail[rows])).astype(np.uint8)
+            np.maximum.at(self.registers, idx[rows], rank)
         return self
 
     def add_items(self, items: np.ndarray) -> "HyperLogLog":
         """Hash raw uint64 item identifiers under the seed and fold in."""
-        items = np.asarray(items, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            seeded = items ^ np.uint64(self.seed)
+        seeded = np.asarray(items, dtype=np.uint64) ^ np.uint64(self.seed)
         return self.add_hashes(_splitmix64(seeded))
 
     def merge(self, other: "HyperLogLog") -> "HyperLogLog":
@@ -531,24 +690,23 @@ def session_fingerprints(table: SessionTable, seed: int) -> np.ndarray:
     same session yields the same fingerprint in whatever shard or chunk
     it is generated.  Float columns contribute their exact bit patterns.
     """
-    n = len(table)
-    with np.errstate(over="ignore"):
-        h = np.full(n, np.uint64(seed & 0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-        for column in (
-            table.service_idx.astype(np.uint64),
-            table.bs_id.astype(np.int64).astype(np.uint64),
-            table.day.astype(np.uint64),
-            table.start_minute.astype(np.uint64),
-            np.ascontiguousarray(table.duration_s)
-            .view(np.uint32)
-            .astype(np.uint64),
-            np.ascontiguousarray(table.volume_mb)
-            .view(np.uint32)
-            .astype(np.uint64),
-            table.truncated.astype(np.uint64),
-        ):
-            h ^= column
-            h = _splitmix64(h)
+    h = np.full(len(table), seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+    column = np.empty_like(h)
+    for values in (
+        table.service_idx,
+        table.bs_id,
+        table.day,
+        table.start_minute,
+        table.duration_s.view(np.uint32),
+        table.volume_mb.view(np.uint32),
+        table.truncated,
+    ):
+        # Integer columns widen with sign extension, the float bit
+        # patterns with zero extension; the buffer is then reused as the
+        # mixing scratch.
+        np.copyto(column, values, casting="unsafe")
+        h ^= column
+        _splitmix64(h, column)
     return h
 
 
@@ -657,7 +815,7 @@ class CampaignAggregate:
             self.service_volume_q[idx] += total
         self.volume_hist.update(np.log10(volume))
         self.duration_hist.update(duration)
-        self.volume.update(volume)
+        self.volume.update(volume, volume_q)
         self.duration.update(duration)
         self.distinct.add_hashes(
             session_fingerprints(table, self.distinct.seed)

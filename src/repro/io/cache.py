@@ -48,14 +48,32 @@ class CacheError(ValueError):
     """Raised on invalid cache keys or unreadable cached artifacts."""
 
 
+class Described:
+    """A value canonicalized once by :func:`describe`, for reuse in many keys.
+
+    :func:`describe` returns the wrapped description as is, so a large
+    part shared by many content keys (a model bank, say) is walked once
+    rather than once per key.  Wrapping never changes a key: the stored
+    value is exactly what describing the original would produce.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any):
+        self.value = describe(value)
+
+
 def describe(value: Any) -> Any:
     """Canonical JSON-able description of a configuration value.
 
     Dataclasses become ``{"__type__": name, **fields}``, enums their value,
-    numpy scalars plain Python numbers, mappings and sequences recurse.
-    Used to build stable content keys from configuration objects without
-    each of them having to implement a serialization protocol.
+    numpy scalars plain Python numbers, mappings and sequences recurse;
+    a :class:`Described` value is already canonical.  Used to build stable
+    content keys from configuration objects without each of them having
+    to implement a serialization protocol.
     """
+    if isinstance(value, Described):
+        return value.value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         described = {
             field.name: describe(getattr(value, field.name))

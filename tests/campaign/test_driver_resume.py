@@ -10,6 +10,7 @@ uninterrupted run.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -18,12 +19,13 @@ import time
 
 import pytest
 
-from repro.campaign import run_campaign
+from repro.campaign import plan_shards, run_campaign
 from repro.campaign.driver import CHECKPOINT_KIND, CHECKPOINT_SUFFIX
+from repro.campaign.sketches import DEFAULT_HLL_SEED, SKETCH_FORMAT_VERSION
 from repro.core.arrivals import ArrivalModel
 from repro.core.generator import TrafficGenerator
 from repro.core.service_mix import ServiceMix
-from repro.io.cache import ArtifactCache
+from repro.io.cache import ArtifactCache, content_key
 from repro.io.params import save_release
 
 SEED = 11
@@ -265,3 +267,51 @@ class TestChunkBudgetIndependentResume:
                 p.name: p.read_bytes() for p in checkpoint_paths(root)
             }
         assert digests[123] == digests[4_567]
+
+
+class TestCheckpointKeysStable:
+    """Checkpoints written before the per-run key constants were hoisted
+    must still resume: every shard key equals the original derivation,
+    which serialized the bank and described the whole payload per shard.
+    """
+
+    @staticmethod
+    def reference_key(shard, generator, root_seed, precision, hll_seed):
+        return content_key(
+            {
+                "artifact": "campaign-shard-aggregate",
+                "format": SKETCH_FORMAT_VERSION,
+                "mix": generator.mix.probabilities(),
+                "bank": json.loads(generator.bank.to_json()),
+                "arrivals": {
+                    str(bs_id): generator.arrival_models[bs_id]
+                    for bs_id in shard.bs_ids
+                },
+                "day": shard.day,
+                "bs_ids": list(shard.bs_ids),
+                "seed": root_seed,
+                "hll": {"precision": precision, "seed": hll_seed},
+            }
+        )
+
+    def test_checkpoints_land_under_the_original_keys(
+        self, generator, tmp_path
+    ):
+        days, shard_bs = 2, 3
+        run_campaign(
+            generator,
+            days,
+            SEED,
+            shard_bs=shard_bs,
+            cache=ArtifactCache(tmp_path),
+            hll_precision=PRECISION,
+        )
+        expected = {
+            self.reference_key(
+                shard, generator, SEED, PRECISION, DEFAULT_HLL_SEED
+            )
+            + CHECKPOINT_SUFFIX
+            for shard in plan_shards(generator.arrival_models, days, shard_bs)
+        }
+        assert len(expected) == 2 * -(-N_BS // shard_bs)
+        assert {p.name for p in checkpoint_paths(tmp_path)} == expected

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.histogram import LOG_GRID
 from repro.campaign.sketches import (
     DEFAULT_HLL_SEED,
     CampaignAggregate,
@@ -22,8 +23,13 @@ from repro.campaign.sketches import (
     HyperLogLog,
     Moments,
     SketchError,
+    _bit_length,
+    _exact_sum,
+    _exact_weighted_bincount,
     merge_all,
+    session_fingerprints,
 )
+from repro.dataset.aggregation import DURATION_EDGES
 from repro.dataset.records import SERVICE_NAMES, SessionTable
 
 #: Small HLL precision for property tests: 256 registers keep each
@@ -288,3 +294,257 @@ class TestHyperLogLog:
         b = HyperLogLog(precision=12, seed=999).add_items(items)
         assert not np.array_equal(a.registers, b.registers)
         assert b.estimate() == pytest.approx(5000, rel=4 * b.relative_error())
+
+
+# ----------------------------------------------------------------------
+# Fast paths against obviously-correct references
+# ----------------------------------------------------------------------
+U64 = (1 << 64) - 1
+
+
+def reference_splitmix64(value: int) -> int:
+    """splitmix64 finalizer on one Python int (mod 2^64)."""
+    z = (value + 0x9E3779B97F4A7C15) & U64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & U64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & U64
+    return z ^ (z >> 31)
+
+
+def reference_fingerprint(row: tuple, seed: int) -> int:
+    """Fingerprint of one session row, column by column on Python ints."""
+    h = seed & U64
+    for value in row:
+        h = reference_splitmix64(h ^ (value & U64))
+    return h
+
+
+def reference_registers(hashes, precision: int, registers) -> np.ndarray:
+    """HLL registers after folding hashes in one at a time."""
+    out = registers.copy()
+    tail_bits = 64 - precision
+    for h in (int(x) for x in hashes):
+        tail = h & ((1 << tail_bits) - 1)
+        rank = tail_bits + 1 - tail.bit_length()
+        out[h >> tail_bits] = max(out[h >> tail_bits], rank)
+    return out
+
+
+def reference_bins(edges: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Clipped bin index by binary search (half-open bins)."""
+    idx = np.searchsorted(edges, values, side="right") - 1
+    return np.clip(idx, 0, edges.size - 2)
+
+
+def reference_quanta(values, quantum_log2: int) -> list[int]:
+    """Quantized values as Python ints (rint of the power-of-two scaling)."""
+    return [int(q) for q in np.rint(np.ldexp(np.asarray(values), quantum_log2))]
+
+
+def bit_length_cases() -> list[int]:
+    """0, every 2^k and 2^k - 1, and the largest uint64."""
+    cases = {0, U64}
+    for k in range(64):
+        cases.update({1 << k, (1 << k) - 1, (1 << k) + 1})
+    return sorted(cases)
+
+
+class TestBitLengthAndRanks:
+    def test_bit_length_matches_python_ints(self):
+        cases = bit_length_cases()
+        got = _bit_length(np.asarray(cases, dtype=np.uint64))
+        assert got.tolist() == [c.bit_length() for c in cases]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, U64), min_size=1, max_size=80))
+    def test_bit_length_of_random_values(self, values):
+        got = _bit_length(np.asarray(values, dtype=np.uint64))
+        assert got.tolist() == [v.bit_length() for v in values]
+
+    @pytest.mark.parametrize("precision", [4, 8, 11, 14, 18])
+    def test_registers_match_reference_on_edge_hashes(self, precision):
+        """Every tail length, including the all-zero and all-one tails."""
+        tail_bits = 64 - precision
+        tails = [0, (1 << tail_bits) - 1] + [
+            t for k in range(tail_bits) for t in ((1 << k), (1 << k) - 1)
+        ]
+        buckets = np.arange(len(tails)) % (1 << precision)
+        hashes = np.asarray(
+            [(int(b) << tail_bits) | t for b, t in zip(buckets, tails)],
+            dtype=np.uint64,
+        )
+        sketch = HyperLogLog(precision=precision).add_hashes(hashes)
+        expected = reference_registers(
+            hashes, precision, np.zeros(1 << precision, dtype=np.uint8)
+        )
+        assert sketch.registers.tobytes() == expected.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([4, 8, 14]),
+        st.lists(st.integers(0, U64), max_size=60),
+        st.lists(st.integers(0, U64), max_size=60),
+    )
+    def test_prefilled_registers_match_reference(self, precision, first, second):
+        """Rows a filled register already covers are dropped, never lost."""
+        sketch = HyperLogLog(precision=precision)
+        sketch.add_hashes(np.asarray(first, dtype=np.uint64))
+        before = sketch.registers.copy()
+        sketch.add_hashes(np.asarray(second, dtype=np.uint64))
+        expected = reference_registers(second, precision, before)
+        assert sketch.registers.tobytes() == expected.tobytes()
+
+
+class TestFingerprints:
+    @settings(max_examples=30, deadline=None)
+    @given(session_tables(max_rows=20), st.integers(0, U64))
+    def test_fingerprints_match_python_reference(self, table, seed):
+        got = session_fingerprints(table, seed)
+        rows = zip(
+            table.service_idx.tolist(),
+            table.bs_id.tolist(),
+            table.day.tolist(),
+            table.start_minute.tolist(),
+            table.duration_s.view(np.uint32).tolist(),
+            table.volume_mb.view(np.uint32).tolist(),
+            table.truncated.astype(int).tolist(),
+        )
+        assert got.tolist() == [reference_fingerprint(r, seed) for r in rows]
+
+    def test_negative_integers_sign_extend(self):
+        """Integer columns enter the mix as 64-bit two's complement."""
+        table = SessionTable(
+            np.array([0], dtype=np.int16),
+            np.array([-5], dtype=np.int32),
+            np.array([-1], dtype=np.int16),
+            np.array([0], dtype=np.int16),
+            np.array([1.0], dtype=np.float32),
+            np.array([1.0], dtype=np.float32),
+            np.array([False]),
+            validate=False,
+        )
+        row = (0, -5, -1, 0, 0x3F800000, 0x3F800000, 0)
+        assert session_fingerprints(table, 7).tolist() == [
+            reference_fingerprint(row, 7)
+        ]
+
+
+def special_values(edges: np.ndarray) -> np.ndarray:
+    """Every edge, its float neighbours, infinities, NaN and log10(0)."""
+    with np.errstate(divide="ignore"):
+        log_zero = np.log10(np.array([0.0]))
+    return np.concatenate(
+        [
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            [np.inf, -np.inf, np.nan, 0.0, -0.0, -1.0, 5e-324, 1.7e308],
+            log_zero,
+        ]
+    )
+
+
+GRIDS = {
+    "log-grid": LOG_GRID,
+    "duration-edges": DURATION_EDGES,
+    "uniform": np.linspace(-4.0, 4.0, 17),
+    "irregular": np.array([0.0, 1.0, 3.0, 3.5, 10.0]),
+    "one-bin": np.array([2.0, 3.0]),
+}
+
+
+class TestHistogramBins:
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_special_values_match_searchsorted(self, name):
+        edges = GRIDS[name]
+        values = special_values(edges)
+        hist = FixedHistogram(edges).update(values)
+        expected = np.bincount(
+            reference_bins(edges, values), minlength=edges.size - 1
+        )
+        assert hist.counts.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_each_value_lands_in_its_reference_bin(self, name):
+        """Value by value, so compensating errors cannot cancel out."""
+        edges = GRIDS[name]
+        for value, bin_index in zip(
+            special_values(edges), reference_bins(edges, special_values(edges))
+        ):
+            counts = FixedHistogram(edges).update(np.array([value])).counts
+            assert int(np.argmax(counts)) == bin_index, value
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(GRIDS)),
+        st.lists(
+            st.floats(allow_nan=True, allow_infinity=True), max_size=60
+        ),
+        st.lists(st.floats(-6.0, 6.0), max_size=60),
+        st.lists(st.floats(0.0, 2e5), max_size=60),
+    )
+    def test_random_values_match_searchsorted(self, name, wild, logs, durations):
+        edges = GRIDS[name]
+        values = np.asarray(wild + logs + durations, dtype=np.float64)
+        hist = FixedHistogram(edges).update(values)
+        expected = np.bincount(
+            reference_bins(edges, values), minlength=edges.size - 1
+        )
+        assert hist.counts.tolist() == expected.tolist()
+
+
+class TestExactSums:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(2.0**-13, 2.0**40, width=32), max_size=80))
+    def test_moment_sums_match_python_ints(self, durations):
+        """Durations up to ~1.1e12 s: squared quanta far beyond int64."""
+        values = np.asarray(durations, dtype=np.float64)
+        m = Moments(10, 6).update(values)
+        assert m.total_q == sum(reference_quanta(values, 10))
+        assert m.total_sq_q == sum(reference_quanta(np.square(values), 6))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+            max_size=60,
+        )
+    )
+    def test_signed_sums_at_any_magnitude(self, values):
+        quanta = np.rint(np.asarray(values, dtype=np.float64))
+        assert _exact_sum(quanta) == sum(int(q) for q in quanta)
+
+    @pytest.mark.parametrize("negative", [0, 3000])
+    def test_int64_overflowing_sum_of_narrow_values(self, negative):
+        """Every value fits int64 but their sum does not."""
+        big, small = 2**61 + 2**40, -(2**61 - 2**10)
+        quanta = np.asarray([big] * 5000 + [small] * negative, dtype=np.float64)
+        assert _exact_sum(quanta) == 5000 * big + negative * small
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                st.floats(0.0, 1e30, allow_nan=False, allow_infinity=False),
+            ),
+            max_size=80,
+        )
+    )
+    def test_weighted_bincount_matches_python_ints(self, rows):
+        index = np.asarray([i for i, _ in rows], dtype=np.intp)
+        quanta = np.rint(np.asarray([w for _, w in rows], dtype=np.float64))
+        expected = [0] * 5
+        for i, q in zip(index, quanta):
+            expected[int(i)] += int(q)
+        assert _exact_weighted_bincount(index, quanta, 5) == expected
+
+    def test_negative_weights_rejected(self):
+        with pytest.raises(SketchError, match=">= 0"):
+            _exact_weighted_bincount(
+                np.array([0, 1]), np.array([1.0, -1.0]), 2
+            )
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(SketchError):
+            _exact_sum(np.array([1.0, bad]))

@@ -12,6 +12,7 @@ from repro.io.cache import (
     CACHE_DIR_ENV,
     ArtifactCache,
     CacheError,
+    Described,
     content_key,
     default_cache_root,
     describe,
@@ -62,6 +63,14 @@ class TestContentKey:
     def test_sensitive_to_values(self):
         assert content_key({"a": 1}) != content_key({"a": 2})
         assert content_key({"a": 1}) != content_key({"b": 1})
+
+    def test_described_part_leaves_the_key_unchanged(self):
+        part = {"cfg": _Cfg(n=2, label="a"), "arr": np.arange(3), 7: (1.5,)}
+        wrapped = Described(part)
+        assert describe(wrapped) == describe(part)
+        assert content_key({"bank": wrapped, "x": 1}) == content_key(
+            {"bank": part, "x": 1}
+        )
 
     def test_simulation_config_keys_differ_by_field(self):
         base = content_key({"sim": SimulationConfig(n_days=1)})
