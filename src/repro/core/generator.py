@@ -86,11 +86,6 @@ _MINUTE_INDEX = np.arange(MINUTES_PER_DAY, dtype=np.int16)
 #: the (faster) natural ``exp``.
 _LN10 = float(np.log(10.0))
 
-#: Buckets of the inverse-CDF lookup table accelerating cell resolution.
-#: 2**16 buckets keep the table L2-resident while leaving at most a couple
-#: of CDF boundaries per bucket for realistic cell counts.
-_LUT_BUCKETS = 1 << 16
-
 #: Fused-kernel uniform split: the 24 random bits of one float32 uniform
 #: are ``(bucket << _ZB_BITS) | z-bin``.  2**14 cell-CDF buckets keep the
 #: per-bucket tables L2-resident while leaving only a tiny mixed-bucket
@@ -290,13 +285,13 @@ class BatchSampler:
     nested per-component masking) with a handful of full-batch array ops.
 
     Cell boundaries that end a service are set to that service's exact
-    cumulative mix probability, so the resolved service indices are
-    bit-identical to :meth:`~repro.core.service_mix.ServiceMix.sample`
-    draws from the same uniforms.  Zero-width cells — unmodelled or
-    zero-probability services, zero-weight mixture components — are
-    dropped outright: ``searchsorted(side='right')`` can never land on
-    them, and a strictly increasing CDF keeps the lookup table's
-    correction loop (see :meth:`cells_from_uniforms`) short.
+    cumulative mix probability, so the service a uniform resolves to is
+    ``mix_cdf.searchsorted(u, side='right')`` — the inverse-CDF draw of
+    :meth:`~repro.core.service_mix.ServiceMix.sample`.  Zero-width cells —
+    unmodelled or zero-probability services, zero-weight mixture
+    components — are dropped outright: ``searchsorted(side='right')`` can
+    never land on them, and the fused kernel's exact path divides by
+    every cell's width.
 
     Attributes
     ----------
@@ -313,12 +308,6 @@ class BatchSampler:
         Per-cell duration power-law coefficients ``log10(alpha_s)`` and
         ``1/beta_s`` of the Section 5.3 inverse map (float32), pre-shaped
         so durations resolve as one log-space ``exp``.
-    lut / lut_span:
-        Per-bucket starting cell index over :data:`_LUT_BUCKETS` equal
-        uniform intervals, and the maximum number of cell boundaries any
-        bucket contains — together they turn the per-session binary search
-        into one gather plus ``lut_span`` vectorized compare-and-bump
-        passes, with results identical to ``searchsorted``.
     """
 
     mix_cdf: np.ndarray
@@ -328,8 +317,6 @@ class BatchSampler:
     cell_sigma: np.ndarray
     cell_log10_alpha: np.ndarray
     cell_inv_beta: np.ndarray
-    lut: np.ndarray
-    lut_span: int
 
     @classmethod
     def from_models(cls, mix: ServiceMix, bank: ModelBank) -> "BatchSampler":
@@ -386,13 +373,6 @@ class BatchSampler:
             )
         pick = np.flatnonzero(keep)
 
-        edges = np.arange(_LUT_BUCKETS, dtype=np.float64) / _LUT_BUCKETS
-        lut_lo = cell_cdf.searchsorted(edges, side="right")
-        lut_hi = cell_cdf.searchsorted(edges + 1.0 / _LUT_BUCKETS, side="left")
-        # One trailing duplicate bucket: ``u * BUCKETS`` can round up to
-        # exactly BUCKETS for u just below 1.0, and the correction loop
-        # only moves forward, so that bucket must start low and bump.
-        lut = np.concatenate((lut_lo, lut_lo[-1:])).astype(np.intp)
         return cls(
             mix_cdf=mix_cdf,
             cell_cdf=cell_cdf,
@@ -401,89 +381,7 @@ class BatchSampler:
             cell_sigma=np.asarray(sigma_parts, dtype=np.float32)[pick],
             cell_log10_alpha=np.asarray(la_parts, dtype=np.float32)[pick],
             cell_inv_beta=np.asarray(ib_parts, dtype=np.float32)[pick],
-            lut=lut,
-            lut_span=int((lut_hi - lut_lo).max()),
         )
-
-    def cells_from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        """Resolve uniforms to (service, component) cell indices.
-
-        Inverse-CDF sampling over the global cell CDF — identical results
-        to ``cell_cdf.searchsorted(u, side='right')`` — picks both the
-        service and its mixture component in one pass.  The per-session
-        binary search is replaced by a bucket lookup plus ``lut_span``
-        (typically one) vectorized compare-and-bump passes: each pass
-        advances exactly the sessions whose uniform still sits at or above
-        their candidate cell's boundary, which is the linear tail of the
-        search the bucket already localized.  A uniform strictly below 1.0
-        always lands on a valid cell because the CDF ends at exactly 1.0.
-        """
-        idx = self.lut.take((u * _LUT_BUCKETS).astype(np.intp))
-        cdf = self.cell_cdf
-        bump = cdf.take(idx) <= u
-        idx += bump
-        # Only a session that just advanced can need advancing again, and
-        # only past boundaries sharing its bucket — a vanishing fraction —
-        # so later passes run on the shrinking active subset.
-        if self.lut_span > 1:
-            active = np.flatnonzero(bump)
-            for _ in range(self.lut_span - 1):
-                if active.size == 0:
-                    break
-                bump = cdf.take(idx.take(active)) <= u.take(active)
-                idx[active] += bump
-                active = active[bump]
-        return idx
-
-    def services_of_cells(self, cells: np.ndarray) -> np.ndarray:
-        """Catalog service index (int16) of each resolved cell."""
-        return self.cell_service.take(cells)
-
-    def services_from_uniforms(self, u_service: np.ndarray) -> np.ndarray:
-        """Resolve service uniforms to catalog indices by inverse CDF.
-
-        ``Generator.choice`` with probabilities is inverse-CDF sampling
-        over ``rng.random``; resolving through the cell table reproduces
-        those draws exactly (the cells refine the service CDF without
-        moving its boundaries) while skipping the per-call probability
-        validation.
-        """
-        return self.services_of_cells(self.cells_from_uniforms(u_service))
-
-    def sample_services(
-        self, rng: np.random.Generator, size: int
-    ) -> np.ndarray:
-        """Draw ``size`` service indices, matching ``ServiceMix.sample``."""
-        return self.services_from_uniforms(rng.random(size))
-
-    def sample_bodies(
-        self, cells: np.ndarray, z: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Volumes (MB) and durations (s) from resolved cells and normals.
-
-        ``z`` is each session's standard-normal log10-volume draw (float32
-        precision — the draws feed distributions, not reproducibility
-        contracts with the legacy path).  Volumes and durations both
-        resolve as single float32 log-space ``exp`` evaluations — the
-        duration power law ``(v / alpha) ** (1 / beta)`` collapses to
-        ``exp(ln10 * (log10 v - log10 alpha) / beta)`` — matching the
-        per-session distribution of sampling each service's model
-        separately.  Durations are clipped to one second, as in
-        :meth:`~repro.core.service_model.SessionLevelModel.sample_sessions`.
-        """
-        ln10 = np.float32(_LN10)
-        log10_volume = self.cell_sigma.take(cells)
-        log10_volume *= z.astype(np.float32, copy=False)
-        log10_volume += self.cell_mu.take(cells)
-        durations = log10_volume - self.cell_log10_alpha.take(cells)
-        durations *= self.cell_inv_beta.take(cells)
-        durations *= ln10
-        np.exp(durations, out=durations)
-        np.maximum(durations, np.float32(1.0), out=durations)
-        volumes = log10_volume
-        volumes *= ln10
-        np.exp(volumes, out=volumes)
-        return volumes, durations
 
 
 # ----------------------------------------------------------------------
@@ -1422,7 +1320,8 @@ def generate_campaign_reference(
 
     This is the engine's historical implementation, kept as the regression
     baseline: the batched engine must match its output *distribution* (the
-    property tests pin service draws exactly and volume histograms by EMD),
+    property tests compare service shares, duration maps and volume
+    histograms by EMD),
     and the performance benchmark reports its throughput as the speedup
     denominator.  Its shared-RNG design makes results depend on the
     ``arrival_models`` iteration order — exactly the bug the seed-stream

@@ -21,11 +21,10 @@ Layout
 * :mod:`repro.lint.structure` — S-series structural contract rules;
 * :mod:`repro.lint.graph` — per-file :class:`ModuleSummary` extraction
   and the folded :class:`ProjectGraph` whole-program view;
-* :mod:`repro.lint.dataflow` — fixpoint dataflow (RNG/seed/metric
+* :mod:`repro.lint.dataflow` — fixpoint dataflow (RNG/seed
   provenance, lock-order pairs) over the project call graph;
 * :mod:`repro.lint.provenance` — W-series interprocedural RNG rules;
 * :mod:`repro.lint.threads` — T-series serve-stack thread-safety rules;
-* :mod:`repro.lint.contracts` — C-series cross-artifact drift rules;
 * :mod:`repro.lint.suppress` — inline ``# repro-lint: disable=RULE``
   suppressions;
 * :mod:`repro.lint.baseline` — the checked-in baseline of grandfathered

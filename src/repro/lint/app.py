@@ -195,9 +195,8 @@ def main(argv: list[str] | None = None) -> int:
         description=(
             "AST-based invariant checker: per-file determinism (D), "
             "parallel safety (P) and structural contracts (S), plus "
-            "whole-program RNG provenance (W), serve-stack thread "
-            "safety (T) and cross-artifact drift (C) of the "
-            "session-level traffic reproduction"
+            "whole-program RNG provenance (W) and serve-stack thread "
+            "safety (T) of the session-level traffic reproduction"
         ),
     )
     add_lint_arguments(parser)

@@ -1,7 +1,7 @@
 """Fixpoint dataflow over the project call graph.
 
 Per-file summaries record only *direct* facts — a parameter used as a
-draw receiver, a literal passed to ``metrics.counter`` — and this engine
+draw receiver, a parameter passed to a seed position — and this engine
 closes them over call edges until nothing changes:
 
 * ``rng_params``: parameters a function (transitively) draws random
@@ -10,9 +10,6 @@ closes them over call edges until nothing changes:
 * ``seed_params``: parameters that (transitively) reach a
   generator-construction seed position — reusing such a value across
   units reuses a stream.
-* ``metric_params``: parameters that (transitively) reach an
-  instrument-factory name position, so C603 can see metric names
-  through wrappers like ``ServeApp._count``.
 * ``rng_returners``: functions whose return value is a Generator
   (directly constructed, or returned from another returner).
 * ``lock_acquires`` / ``lock_pairs``: locks a function acquires
@@ -39,7 +36,6 @@ class DataflowResult:
 
     rng_params: dict[str, frozenset[str]]
     seed_params: dict[str, frozenset[str]]
-    metric_params: dict[str, frozenset[str]]
     rng_returners: frozenset[str]
     lock_acquires: dict[str, frozenset[str]]
     lock_pairs: dict[str, frozenset[tuple[str, str, int, int]]]
@@ -172,21 +168,17 @@ def _solve_locks(
 
 
 def solve(project: "ProjectGraph") -> DataflowResult:
-    """Solve every fixpoint the W/T/C rules consume."""
+    """Solve every fixpoint the W/T rules consume."""
     rng_direct = {
         q: set(f.rng_param_draws) for q, f in project.functions.items()
     }
     seed_direct = {
         q: set(f.seed_sink_params) for q, f in project.functions.items()
     }
-    metric_direct = {
-        q: set(f.metric_sink_params) for q, f in project.functions.items()
-    }
     acquires, pairs = _solve_locks(project)
     return DataflowResult(
         rng_params=_propagate_params(project, rng_direct),
         seed_params=_propagate_params(project, seed_direct),
-        metric_params=_propagate_params(project, metric_direct),
         rng_returners=_solve_returners(project),
         lock_acquires=acquires,
         lock_pairs=pairs,

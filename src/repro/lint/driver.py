@@ -25,7 +25,6 @@ from .rules import (
     FileContext,
     Finding,
     Rule,
-    project_rules,
     run_project_rules,
     run_rules,
 )
@@ -199,26 +198,8 @@ def discover_files(
     return sorted(found)
 
 
-def _project_artifacts(root: Path) -> dict[str, str]:
-    """Text of every artifact a registered project rule compares against.
-
-    Missing artifacts are simply absent — a rule that needs one treats
-    absence as "nothing to check", so exported subtrees and test
-    fixtures without the documents lint clean.
-    """
-    texts: dict[str, str] = {}
-    for rule in project_rules():
-        for rel in rule.artifacts:
-            if rel in texts:
-                continue
-            candidate = root / rel
-            if candidate.is_file():
-                texts[rel] = candidate.read_text(encoding="utf-8")
-    return texts
-
-
 def _run_project_pass(
-    root: Path, outcomes: Sequence[FileOutcome]
+    outcomes: Sequence[FileOutcome],
 ) -> tuple[list[Finding], int]:
     """Fold summaries into a graph and run the whole-program rules.
 
@@ -228,8 +209,7 @@ def _run_project_pass(
     they do to per-file findings.
     """
     summaries = [o.summary for o in outcomes if o.summary is not None]
-    graph = ProjectGraph.build(summaries, _project_artifacts(root))
-    raw = run_project_rules(graph)
+    raw = run_project_rules(ProjectGraph(summaries))
     by_path: dict[str, tuple[Suppression, ...]] = {
         o.report.path: o.suppressions for o in outcomes
     }
@@ -261,7 +241,7 @@ def lint_paths(
     A full default run (no path filter, no rule filter) additionally
     executes the whole-program pass: workers extract per-file summaries
     alongside their reports, the parent folds them into a
-    :class:`~repro.lint.graph.ProjectGraph` and the W/T/C project rules
+    :class:`~repro.lint.graph.ProjectGraph` and the W/T project rules
     run serially over it.
     """
     from ..pipeline.executors import make_executor
@@ -295,9 +275,7 @@ def lint_paths(
     )
     suppressed = sum(o.report.suppressed for o in outcomes)
     if want_project:
-        project_findings, project_suppressed = _run_project_pass(
-            root, outcomes
-        )
+        project_findings, project_suppressed = _run_project_pass(outcomes)
         findings = sorted(findings + project_findings)
         suppressed += project_suppressed
     result = LintResult(

@@ -1,19 +1,19 @@
-"""Project-wide symbol, call and artifact graph for whole-program rules.
+"""Project-wide symbol and call graph for whole-program rules.
 
-The per-file rules see exactly one file; the W/T/C series reason about
+The per-file rules see exactly one file; the W/T series reason about
 flows *between* files — a generator handed through two call boundaries,
-a lock acquired in one method and required by another, a route literal
-that must match a checked-in OpenAPI document.  This module provides the
-substrate: a :class:`ModuleSummary` distilled independently from each
-file (picklable, so the driver's worker processes can extract summaries
-during the ordinary parallel fan-out) and a :class:`ProjectGraph` the
-parent folds them into, in sorted path order, before running the
-project rules serially.  Extraction never reads other files, so the
-parallel run stays byte-identical to the serial one.
+a lock acquired in one method and required by another.  This module
+provides the substrate: a :class:`ModuleSummary` distilled independently
+from each file (picklable, so the driver's worker processes can extract
+summaries during the ordinary parallel fan-out) and a
+:class:`ProjectGraph` the parent folds them into, in sorted path order,
+before running the project rules serially.  Extraction never reads
+other files, so the parallel run stays byte-identical to the serial
+one.
 
 What a summary records is deliberately shallow — call sites with
 identifier arguments, self-attribute accesses with the lock set held at
-that point, direct RNG/seed/metric-name sinks — and the
+that point, direct RNG/seed sinks — and the
 :mod:`repro.lint.dataflow` engine closes these facts over the call
 graph afterwards.
 """
@@ -21,9 +21,8 @@ graph afterwards.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .determinism import is_view_loop
 from .parallelism import EXECUTOR_NAMES, SUBMIT_METHODS, _receiver_name
@@ -66,10 +65,6 @@ SEED_SINK_CALLEES = RNG_CONSTRUCTORS | frozenset(
     }
 )
 
-#: Instrument-factory method names of the metrics registry; a literal
-#: first argument at such a call site is an instrumented metric name.
-METRIC_METHODS = ("counter", "gauge", "histogram")
-
 #: Lock-constructor callees recognized in ``__init__`` bodies.
 LOCK_CONSTRUCTORS = frozenset(
     {
@@ -81,10 +76,6 @@ LOCK_CONSTRUCTORS = frozenset(
     }
 )
 
-#: HTTP route literals (the C601 harvest): ``/v1/...`` or ``/metrics``.
-ROUTE_PATTERN = re.compile(r"^/(?:v[0-9]+(?:/[A-Za-z0-9_.\-]+)+|metrics)$")
-
-
 @dataclass(frozen=True)
 class CallSite:
     """One call expression, with everything project rules may ask of it."""
@@ -95,7 +86,6 @@ class CallSite:
     symbol: str
     args: tuple[str | None, ...]
     const_args: tuple[bool, ...]
-    string_args: tuple[str | None, ...]
     keywords: tuple[tuple[str, str | None], ...]
     in_loop: bool
     in_view_loop: bool
@@ -129,7 +119,6 @@ class FunctionSummary:
     calls: tuple[CallSite, ...]
     rng_param_draws: tuple[str, ...]
     seed_sink_params: tuple[str, ...]
-    metric_sink_params: tuple[str, ...]
     returned_callees: tuple[str, ...]
     assigns: tuple[tuple[str, str], ...]
     attr_writes: tuple[AttrAccess, ...]
@@ -157,16 +146,6 @@ class ClassSummary:
 
 
 @dataclass(frozen=True)
-class MetricLiteral:
-    """A literal metric name at an instrument-factory call site."""
-
-    name: str
-    line: int
-    col: int
-    symbol: str
-
-
-@dataclass(frozen=True)
 class ModuleSummary:
     """Everything the project pass keeps of one file."""
 
@@ -174,9 +153,6 @@ class ModuleSummary:
     module: str
     functions: tuple[FunctionSummary, ...]
     classes: tuple[ClassSummary, ...]
-    route_literals: tuple[tuple[str, int, int], ...]
-    flag_literals: tuple[tuple[str, int, int], ...]
-    metric_literals: tuple[MetricLiteral, ...]
 
 
 def module_of(path: str) -> str:
@@ -243,7 +219,6 @@ class _FunctionFacts:
     calls: list[CallSite] = field(default_factory=list)
     rng_draws: set[str] = field(default_factory=set)
     seed_params: set[str] = field(default_factory=set)
-    metric_params: set[str] = field(default_factory=set)
     returned: list[str] = field(default_factory=list)
     assigns: list[tuple[str, str]] = field(default_factory=list)
     writes: list[AttrAccess] = field(default_factory=list)
@@ -255,27 +230,20 @@ class _FunctionFacts:
 def _arg_facts(
     call: ast.Call,
 ) -> tuple[
-    tuple[str | None, ...], tuple[bool, ...], tuple[str | None, ...],
+    tuple[str | None, ...], tuple[bool, ...],
     tuple[tuple[str, str | None], ...],
 ]:
-    """Identifier / constant / string-literal views of a call's arguments."""
-    names: list[str | None] = []
-    consts: list[bool] = []
-    strings: list[str | None] = []
-    for arg in call.args:
-        names.append(arg.id if isinstance(arg, ast.Name) else None)
-        consts.append(isinstance(arg, ast.Constant))
-        strings.append(
-            arg.value
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
-            else None
-        )
+    """Identifier / constant views of a call's arguments."""
+    names = tuple(
+        arg.id if isinstance(arg, ast.Name) else None for arg in call.args
+    )
+    consts = tuple(isinstance(arg, ast.Constant) for arg in call.args)
     keywords = tuple(
         (kw.arg, kw.value.id if isinstance(kw.value, ast.Name) else None)
         for kw in call.keywords
         if kw.arg is not None
     )
-    return tuple(names), tuple(consts), tuple(strings), keywords
+    return names, consts, keywords
 
 
 def _scan_function(
@@ -299,7 +267,7 @@ def _scan_function(
         in_view: bool,
     ) -> None:
         callee = resolver.callee(call.func, class_name)
-        names, consts, strings, keywords = _arg_facts(call)
+        names, consts, keywords = _arg_facts(call)
         submit_kind: str | None = None
         submitted: str | None = None
         if (
@@ -321,7 +289,6 @@ def _scan_function(
                 symbol=ctx.symbol(call),
                 args=names,
                 const_args=consts,
-                string_args=strings,
                 keywords=keywords,
                 in_loop=in_loop,
                 in_view_loop=in_view,
@@ -332,18 +299,13 @@ def _scan_function(
             )
         )
         # Direct sinks feeding the dataflow fixpoints.
-        if isinstance(call.func, ast.Attribute):
-            receiver_node = call.func.value
-            if (
-                call.func.attr in RNG_DRAW_METHODS
-                and isinstance(receiver_node, ast.Name)
-                and receiver_node.id in param_set
-            ):
-                facts.rng_draws.add(receiver_node.id)
-            if call.func.attr in METRIC_METHODS and call.args:
-                first = call.args[0]
-                if isinstance(first, ast.Name) and first.id in param_set:
-                    facts.metric_params.add(first.id)
+        if (
+            isinstance(call.func, ast.Attribute)
+            and call.func.attr in RNG_DRAW_METHODS
+            and isinstance(call.func.value, ast.Name)
+            and call.func.value.id in param_set
+        ):
+            facts.rng_draws.add(call.func.value.id)
         if callee in SEED_SINK_CALLEES:
             for value in list(call.args) + [kw.value for kw in call.keywords]:
                 if isinstance(value, ast.Name) and value.id in param_set:
@@ -471,7 +433,6 @@ def _scan_function(
         calls=tuple(facts.calls),
         rng_param_draws=tuple(sorted(facts.rng_draws)),
         seed_sink_params=tuple(sorted(facts.seed_params)),
-        metric_sink_params=tuple(sorted(facts.metric_params)),
         returned_callees=tuple(facts.returned),
         assigns=tuple(facts.assigns),
         attr_writes=tuple(facts.writes),
@@ -527,53 +488,6 @@ def _scan_class(
     )
 
 
-def _literal_harvest(
-    ctx: FileContext,
-) -> tuple[
-    tuple[tuple[str, int, int], ...],
-    tuple[tuple[str, int, int], ...],
-    tuple[MetricLiteral, ...],
-]:
-    """Route, CLI-flag and metric-name literals of one file."""
-    routes: list[tuple[str, int, int]] = []
-    flags: list[tuple[str, int, int]] = []
-    metrics: list[MetricLiteral] = []
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if ROUTE_PATTERN.match(node.value):
-                routes.append((node.value, node.lineno, node.col_offset))
-        if not isinstance(node, ast.Call):
-            continue
-        if not isinstance(node.func, ast.Attribute):
-            continue
-        if node.func.attr == "add_argument":
-            for arg in node.args:
-                if (
-                    isinstance(arg, ast.Constant)
-                    and isinstance(arg.value, str)
-                    and arg.value.startswith("--")
-                ):
-                    flags.append(
-                        (arg.value, arg.lineno, arg.col_offset)
-                    )
-        elif node.func.attr in METRIC_METHODS:
-            first: ast.expr | None = node.args[0] if node.args else None
-            if first is None:
-                first = ctx.keyword(node, "name")
-            if isinstance(first, ast.Constant) and isinstance(
-                first.value, str
-            ):
-                metrics.append(
-                    MetricLiteral(
-                        name=first.value,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        symbol=ctx.symbol(node),
-                    )
-                )
-    return tuple(routes), tuple(flags), tuple(metrics)
-
-
 def summarize_context(ctx: FileContext) -> ModuleSummary:
     """Distill one parsed file into its picklable summary."""
     module = module_of(ctx.path)
@@ -599,15 +513,11 @@ def summarize_context(ctx: FileContext) -> ModuleSummary:
                     functions.append(
                         _scan_function(ctx, child, node.name, resolver)
                     )
-    routes, flags, metrics = _literal_harvest(ctx)
     return ModuleSummary(
         path=ctx.path,
         module=module,
         functions=tuple(functions),
         classes=tuple(classes),
-        route_literals=routes,
-        flag_literals=flags,
-        metric_literals=metrics,
     )
 
 
@@ -624,17 +534,12 @@ class ProjectGraph:
     """The whole-program view the project rules consume.
 
     Holds every module summary keyed by path, a flat function index
-    keyed by qualname (the call-graph nodes), the class index, and the
-    non-Python artifacts (OpenAPI document, docs) the C-series rules
-    compare code against.  The dataflow solution is computed once, on
-    first use, and shared across rules.
+    keyed by qualname (the call-graph nodes) and the class index.  The
+    dataflow solution is computed once, on first use, and shared across
+    rules.
     """
 
-    def __init__(
-        self,
-        summaries: Sequence[ModuleSummary],
-        artifacts: Mapping[str, str] | None = None,
-    ):
+    def __init__(self, summaries: Sequence[ModuleSummary]):
         ordered = sorted(summaries, key=lambda s: s.path)
         self.modules: dict[str, ModuleSummary] = {
             summary.path: summary for summary in ordered
@@ -646,21 +551,7 @@ class ProjectGraph:
                 self.functions[function.qualname] = function
             for cls in summary.classes:
                 self.classes[cls.qualname] = cls
-        self.artifacts: dict[str, str] = dict(artifacts or {})
         self._dataflow: "DataflowResult | None" = None
-
-    @classmethod
-    def build(
-        cls,
-        summaries: Sequence[ModuleSummary],
-        artifacts: Mapping[str, str] | None = None,
-    ) -> "ProjectGraph":
-        """Fold worker-extracted summaries into one graph."""
-        return cls(summaries, artifacts)
-
-    def artifact(self, path: str) -> str | None:
-        """A checked-in artifact's text, if it was loaded."""
-        return self.artifacts.get(path)
 
     def modules_under(self, *prefixes: str) -> Iterator[ModuleSummary]:
         """Module summaries whose path lives under any given prefix."""

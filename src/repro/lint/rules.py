@@ -233,19 +233,14 @@ class Rule:
 
 
 class ProjectRule(Rule):
-    """Base class of whole-program rules (the W/T/C series).
+    """Base class of whole-program rules (the W/T series).
 
     Project rules consume the :class:`~repro.lint.graph.ProjectGraph`
     the driver folds worker summaries into, instead of one file's AST.
     They run serially in the parent process after the per-file fan-out,
     so parallel runs stay byte-identical; :meth:`check` is therefore a
-    no-op and :meth:`check_project` is the entry point.  ``artifacts``
-    names the repo-relative non-Python files (OpenAPI document, docs)
-    the rule compares code against; the driver loads them from the
-    repository root and tests inject them directly.
+    no-op and :meth:`check_project` is the entry point.
     """
-
-    artifacts: ClassVar[tuple[str, ...]] = ()
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         """Project rules have no per-file findings."""
@@ -296,7 +291,6 @@ def register(cls: type[Rule]) -> type[Rule]:
 def _load_packs() -> None:
     """Import the built-in rule packs (idempotent, registry-populating)."""
     from . import (  # noqa: F401
-        contracts,
         determinism,
         parallelism,
         provenance,

@@ -235,198 +235,6 @@ class TelemetryEventShape(Rule):
 
 
 @register
-class TelemetrySchemaDrift(Rule):
-    """S306 — span kinds / event shapes drifting from the checked-in schema."""
-
-    id = "S306"
-    title = "telemetry constants drift from the checked-in schema"
-    severity = "error"
-    rationale = (
-        "schemas/telemetry-events.schema.json is the published contract "
-        "of the event stream; SPAN_KINDS and EVENT_FIELDS are its "
-        "generators.  Editing either without regenerating the document "
-        "(python -m repro.obs.schema) ships a schema that rejects the "
-        "very streams the library emits.  The rule pins the literals to "
-        "the checked-in file, so drift fails lint instead of CI "
-        "validation after the run already happened."
-    )
-
-    #: Repo-relative path of the checked-in contract (lint runs from the
-    #: repository root, like every other file-set default).
-    _SCHEMA_PATH = "schemas/telemetry-events.schema.json"
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        """Scope: the library package (the constants live in repro.obs)."""
-        return ctx.in_dirs("src")
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        """Compare SPAN_KINDS / EVENT_FIELDS literals to the document."""
-        assignments = list(self._constant_assignments(ctx))
-        if not assignments:
-            return
-        document = self._load_document()
-        if document is None:
-            return
-        span_enum, event_fields = self._document_shapes(document)
-        for name, node, value in assignments:
-            if name == "SPAN_KINDS":
-                yield from self._check_span_kinds(ctx, node, value, span_enum)
-            else:
-                yield from self._check_event_fields(
-                    ctx, node, value, event_fields
-                )
-
-    # -- literal extraction -------------------------------------------
-    @staticmethod
-    def _constant_assignments(
-        ctx: FileContext,
-    ) -> Iterable[tuple[str, ast.AST, ast.expr]]:
-        """Module-level ``SPAN_KINDS`` / ``EVENT_FIELDS`` assignments."""
-        for node in ctx.tree.body:
-            targets: list[ast.expr] = []
-            value: ast.expr | None = None
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets, value = [node.target], node.value
-            for target in targets:
-                if isinstance(target, ast.Name) and target.id in (
-                    "SPAN_KINDS", "EVENT_FIELDS"
-                ):
-                    yield target.id, node, value
-
-    @staticmethod
-    def _string_elements(value: ast.expr) -> list[str] | None:
-        """String items of a tuple/list/set literal (None if not one)."""
-        if not isinstance(value, (ast.Tuple, ast.List, ast.Set)):
-            return None
-        items = []
-        for element in value.elts:
-            if not (
-                isinstance(element, ast.Constant)
-                and isinstance(element.value, str)
-            ):
-                return None
-            items.append(element.value)
-        return items
-
-    # -- checked-in document ------------------------------------------
-    def _load_document(self) -> dict | None:
-        """The checked-in schema document, or None when unavailable."""
-        import json
-        from pathlib import Path
-
-        candidates = (
-            Path(self._SCHEMA_PATH),
-            # Fallback for lint runs not rooted at the repository: the
-            # source checkout keeps schemas/ three levels above this file.
-            Path(__file__).resolve().parents[3] / self._SCHEMA_PATH,
-        )
-        for path in candidates:
-            try:
-                return json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue
-        return None
-
-    @staticmethod
-    def _document_shapes(
-        document: dict,
-    ) -> tuple[set[str], dict[str, set[str]]]:
-        """Span-kind enum and per-event property names of the document."""
-        span_enum: set[str] = set()
-        event_fields: dict[str, set[str]] = {}
-        for variant in document.get("oneOf", []):
-            title = variant.get("title", "")
-            if not title.endswith(" event"):
-                continue
-            event_type = title[: -len(" event")]
-            properties = variant.get("properties", {})
-            event_fields[event_type] = set(properties)
-            if event_type == "span":
-                kind = properties.get("kind", {})
-                span_enum = set(kind.get("enum", []))
-        return span_enum, event_fields
-
-    # -- comparisons ---------------------------------------------------
-    def _check_span_kinds(
-        self,
-        ctx: FileContext,
-        node: ast.AST,
-        value: ast.expr,
-        span_enum: set[str],
-    ) -> Iterable[Finding]:
-        kinds = self._string_elements(value)
-        if kinds is None or not span_enum:
-            return
-        for extra in [kind for kind in kinds if kind not in span_enum]:
-            yield self.finding(
-                ctx, node,
-                f"span kind {extra!r} is not in the checked-in schema; "
-                "regenerate with python -m repro.obs.schema",
-            )
-        for missing in sorted(span_enum - set(kinds)):
-            yield self.finding(
-                ctx, node,
-                f"checked-in schema allows span kind {missing!r} that "
-                "SPAN_KINDS no longer declares; regenerate with "
-                "python -m repro.obs.schema",
-            )
-
-    def _check_event_fields(
-        self,
-        ctx: FileContext,
-        node: ast.AST,
-        value: ast.expr,
-        event_fields: dict[str, set[str]],
-    ) -> Iterable[Finding]:
-        if not isinstance(value, ast.Dict) or not event_fields:
-            return
-        declared: dict[str, ast.expr] = {}
-        for key, item in zip(value.keys, value.values):
-            if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                declared[key.value] = item
-        for event_type, fields_node in declared.items():
-            expected = event_fields.get(event_type)
-            if expected is None:
-                yield self.finding(
-                    ctx, fields_node,
-                    f"event type {event_type!r} is not in the checked-in "
-                    "schema; regenerate with python -m repro.obs.schema",
-                )
-                continue
-            if not isinstance(fields_node, ast.Dict):
-                continue
-            names = {
-                key.value
-                for key in fields_node.keys
-                if isinstance(key, ast.Constant)
-                and isinstance(key.value, str)
-            }
-            for extra in sorted(names - expected):
-                yield self.finding(
-                    ctx, fields_node,
-                    f"field {extra!r} of the {event_type!r} event is not "
-                    "in the checked-in schema; regenerate with "
-                    "python -m repro.obs.schema",
-                )
-            for missing in sorted(expected - names):
-                yield self.finding(
-                    ctx, fields_node,
-                    f"checked-in schema requires field {missing!r} of the "
-                    f"{event_type!r} event that EVENT_FIELDS no longer "
-                    "declares; regenerate with python -m repro.obs.schema",
-                )
-        for missing_type in sorted(set(event_fields) - set(declared)):
-            yield self.finding(
-                ctx, node,
-                f"checked-in schema declares event type {missing_type!r} "
-                "that EVENT_FIELDS no longer defines; regenerate with "
-                "python -m repro.obs.schema",
-            )
-
-
-@register
 class TestImportInLibrary(Rule):
     """S303 — ``repro.*`` importing from tests/ or benchmarks/."""
 

@@ -228,10 +228,21 @@ class TestDistributionFidelity:
     per-unit ``sample_mixed_sessions`` loop."""
 
     def test_service_draws_match_service_mix_exactly(self, generator):
-        sampler = generator.sampler()
-        drawn = sampler.sample_services(np.random.default_rng(21), 20_000)
-        expected = generator.mix.sample(np.random.default_rng(21), 20_000)
-        assert np.array_equal(drawn, expected)
+        """Each session's service is the mix's inverse CDF at its uniform.
+
+        Replays the unit stream in the engine's draw order — arrival
+        counts, then one float32 uniform per session — and checks the
+        production kernel against ``searchsorted`` over the mix CDF.
+        """
+        mix_cdf = generator.sampler().mix_cdf
+        for seed in range(4):
+            day = generator.generate_bs_day(0, 0, unit_rng(seed, 0, 0))
+            rng = unit_rng(seed, 0, 0)
+            generator.arrival_models[0].sample_day(rng)
+            u = rng.random(len(day.table), dtype=np.float32)
+            expected = mix_cdf.searchsorted(u.astype(np.float64), side="right")
+            assert len(day.table) > 1000
+            assert np.array_equal(day.table.service_idx, expected)
 
     def test_durations_follow_power_law_inverse(self, generator, bank):
         table = generator.generate_campaign(1, 17)

@@ -29,28 +29,20 @@ def run_rule(rule_id: str, source: str, path: str = CORE_PATH) -> list[Finding]:
     return [f for f in report.findings if f.rule == rule_id]
 
 
-def build_graph(
-    files: dict[str, str], artifacts: dict[str, str] | None = None
-) -> ProjectGraph:
+def build_graph(files: dict[str, str]) -> ProjectGraph:
     """A :class:`ProjectGraph` over in-memory dedented sources."""
     summaries = [
         summarize_source(path, textwrap.dedent(source))
         for path, source in sorted(files.items())
     ]
-    return ProjectGraph.build(
-        [s for s in summaries if s is not None], artifacts
-    )
+    return ProjectGraph([s for s in summaries if s is not None])
 
 
-def run_project_rule(
-    rule_id: str,
-    files: dict[str, str],
-    artifacts: dict[str, str] | None = None,
-) -> list[Finding]:
+def run_project_rule(rule_id: str, files: dict[str, str]) -> list[Finding]:
     """Findings of one project rule over an in-memory file set."""
     rule = get_rule(rule_id)
     assert isinstance(rule, ProjectRule), f"{rule_id} is not a project rule"
-    graph = build_graph(files, artifacts)
+    graph = build_graph(files)
     return [
         f for f in run_project_rules(graph, [rule]) if f.rule == rule_id
     ]

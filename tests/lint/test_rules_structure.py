@@ -235,80 +235,3 @@ class TestS305PrintInCompute:
         """The CLI prints deliberately."""
         src = "print('usage: ...')\n"
         assert run_rule("S305", src, "src/repro/cli.py") == []
-
-
-class TestS306TelemetrySchemaDrift:
-    """S306 pins SPAN_KINDS / EVENT_FIELDS to the checked-in schema."""
-
-    OBS_PATH = "src/repro/obs/snippet.py"
-
-    def test_real_constants_are_in_sync(self):
-        """The shipped spans/schema modules must match their document."""
-        from pathlib import Path
-
-        for module in ("spans", "schema"):
-            path = f"src/repro/obs/{module}.py"
-            source = Path(path).read_text(encoding="utf-8")
-            assert run_rule("S306", source, path) == []
-
-    def test_flags_a_span_kind_the_schema_lacks(self):
-        from repro.obs.spans import SPAN_KINDS
-
-        src = f"SPAN_KINDS = {tuple(SPAN_KINDS) + ('bogus',)!r}\n"
-        found = run_rule("S306", src, self.OBS_PATH)
-        assert len(found) == 1
-        assert "'bogus'" in found[0].message
-        assert "python -m repro.obs.schema" in found[0].message
-
-    def test_flags_a_span_kind_the_code_dropped(self):
-        from repro.obs.spans import SPAN_KINDS
-
-        src = f"SPAN_KINDS = {tuple(k for k in SPAN_KINDS if k != 'run')!r}\n"
-        found = run_rule("S306", src, self.OBS_PATH)
-        assert len(found) == 1
-        assert "'run'" in found[0].message
-
-    def test_flags_event_shape_drift_in_both_directions(self):
-        """An extra field, a dropped field and a novel type all surface."""
-        from repro.obs.schema import EVENT_FIELDS
-
-        entries = []
-        for event_type, fields in EVENT_FIELDS.items():
-            names = list(fields)
-            if event_type == "message":
-                names = [n for n in names if n != "text"] + ["extra"]
-            body = ", ".join(f"{name!r}: ()" for name in names)
-            entries.append(f"    {event_type!r}: {{{body}}},")
-        entries.append("    'novel': {'type': ()},")
-        src = "EVENT_FIELDS = {\n" + "\n".join(entries) + "\n}\n"
-        found = run_rule("S306", src, self.OBS_PATH)
-        messages = "\n".join(f.message for f in found)
-        assert "'extra'" in messages  # field not in the schema
-        assert "'text'" in messages  # schema field the literal dropped
-        assert "'novel'" in messages  # event type not in the schema
-
-    def test_flags_a_dropped_event_type(self):
-        from repro.obs.schema import EVENT_FIELDS
-
-        entries = [
-            f"    {event_type!r}: {{{', '.join(f'{n!r}: ()' for n in fields)}}},"
-            for event_type, fields in EVENT_FIELDS.items()
-            if event_type != "access"
-        ]
-        src = "EVENT_FIELDS = {\n" + "\n".join(entries) + "\n}\n"
-        found = run_rule("S306", src, self.OBS_PATH)
-        assert len(found) == 1
-        assert "'access'" in found[0].message
-
-    def test_files_without_the_constants_are_silent(self):
-        src = """
-            OTHER = ("run", "bogus")
-            def f():
-                SPAN_KINDS = ("bogus",)  # not module level
-        """
-        assert run_rule("S306", src, self.OBS_PATH) == []
-
-    def test_out_of_scope_ignored(self):
-        """tests/ may build drifted literals on purpose (like this file)."""
-        src = "SPAN_KINDS = ('bogus',)\n"
-        assert run_rule("S306", src, "tests/obs/fixture.py") == []

@@ -1,5 +1,8 @@
 """Tests for the metrics registry and its instruments."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.obs.metrics import (
@@ -7,6 +10,35 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullMetricsRegistry,
 )
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: A literal metric name at an instrument-factory call, or at one of the
+#: ``_count(name)`` wrappers of ``ServeApp`` / ``ArtifactCache``.
+INSTRUMENTED_NAME = re.compile(
+    r'(?:\.(?:counter|gauge|histogram)|\b_count)\(\s*"([^"]+)"'
+)
+
+
+def test_every_instrumented_name_is_documented():
+    """Every metric name instrumented in src/ has a row in OBSERVABILITY.md.
+
+    Whole-word match: ``cache.hit`` in the text does not document
+    ``cache.hits``.
+    """
+    doc = (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+    names = {
+        name
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        for name in INSTRUMENTED_NAME.findall(path.read_text(encoding="utf-8"))
+    }
+    assert len(names) > 20, "the scan no longer finds the instrumented names"
+    missing = [
+        name
+        for name in sorted(names)
+        if not re.search(re.escape(name) + r"(?![A-Za-z0-9_.\-])", doc)
+    ]
+    assert missing == [], f"metrics missing from docs/OBSERVABILITY.md: {missing}"
 
 
 class TestCounter:

@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
+
+USAGE_DOC = Path(__file__).resolve().parents[1] / "docs" / "USAGE.md"
 
 
 @pytest.fixture(autouse=True)
@@ -15,6 +21,33 @@ def _isolated_cache(tmp_path_factory, monkeypatch):
     """
     cache_dir = tmp_path_factory.mktemp("repro-cache")
     monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+
+
+def test_every_flag_is_documented():
+    """Every long option of every subcommand appears in docs/USAGE.md.
+
+    Whole-word match: ``--follow`` in the text does not document
+    ``--follow-timeout``.
+    """
+    usage = USAGE_DOC.read_text(encoding="utf-8")
+    parsers = [_build_parser()]
+    flags: set[str] = set()
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            flags.update(
+                option
+                for option in action.option_strings
+                if option.startswith("--") and option != "--help"
+            )
+    missing = [
+        flag
+        for flag in sorted(flags)
+        if not re.search(re.escape(flag) + r"(?![A-Za-z0-9_.\-])", usage)
+    ]
+    assert missing == [], f"flags missing from docs/USAGE.md: {missing}"
 
 
 class TestCli:
