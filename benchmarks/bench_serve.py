@@ -1,38 +1,13 @@
-"""Load benchmark of the statistics service under concurrent clients.
+"""Aggregate and read-mix recipes of the serve workload.
 
-Builds one deterministic synthetic campaign aggregate, ingests it into an
-:class:`~repro.serve.store.AggregateStore` under many campaign names (a
-nationwide store holds one entry per regional campaign), starts the real
-threaded WSGI stack (:func:`repro.serve.http.make_server`) on an
-ephemeral port, and drives it with concurrent keep-alive-free HTTP
-clients over the endpoint mix a dashboard would issue — campaign
-listings, per-service shares, volume/duration PDFs, fidelity verdicts and
-``/metrics`` scrapes.
-
-Reported per mode into ``BENCH_serve.json``:
-
-* sustained requests/s across all client threads;
-* p50 / p99 request latency, overall and per route;
-* error count (any non-200 response fails the benchmark);
-* a final ``/metrics`` scrape validated by the dependency-free
-  Prometheus parser (:func:`repro.obs.expose.parse_exposition`), so the
-  run also proves the exposition endpoint stays well-formed under load.
-
-Two sizes::
-
-    python benchmarks/bench_serve.py            # nationwide store
-    python benchmarks/bench_serve.py --smoke    # CI-sized
-
-Latencies include the loopback TCP round trip and one connection
-handshake per request (clients do not reuse connections), which is the
-honest per-request cost of the stdlib threaded server.
+:func:`build_aggregate` is the campaign aggregate the repository
+benchmark's ``serve-mixed`` workload (``perfbench/serve.py``) ingests,
+and :func:`request_plan` its read mix: campaign listings, per-service
+shares, volume/duration PDFs, fidelity verdicts and ``/metrics``
+scrapes.  The benchmark checks every served body against a reference
+store built from this aggregate, and compares runs across commits, so
+neither recipe may change.
 """
-
-import argparse
-import json
-import threading
-import time
-import urllib.request
 
 import numpy as np
 
@@ -43,18 +18,9 @@ from repro.core.model_bank import ModelBank
 from repro.core.service_mix import ServiceMix
 from repro.dataset.network import Network, NetworkConfig
 from repro.dataset.simulator import SimulationConfig, simulate
-from repro.obs.expose import parse_exposition
-from repro.pipeline.context import mint_trace_id
-from repro.serve import AggregateStore, ServeApp, make_server
-from repro.verify import Baseline, default_baseline_path
 
 #: Root seed of the synthetic campaign every ingested entry derives from.
 SEED = 0
-
-#: Full mode: store size (campaign entries), client threads, requests
-#: per thread.  Smoke mode is CI-sized with the same endpoint mix.
-FULL_CAMPAIGNS, FULL_CLIENTS, FULL_REQUESTS = 64, 8, 250
-SMOKE_CAMPAIGNS, SMOKE_CLIENTS, SMOKE_REQUESTS = 8, 4, 40
 
 #: HLL precision of the synthetic aggregate (small keeps ingest quick;
 #: the served document sizes are what load the request path).
@@ -84,22 +50,12 @@ def build_aggregate() -> CampaignAggregate:
     )
 
 
-def populate(store: AggregateStore, n_campaigns: int) -> list[str]:
-    """Ingest the aggregate under ``n_campaigns`` regional names."""
-    payload = build_aggregate().to_dict()
-    payload["provenance"] = {"trace_id": mint_trace_id(SEED)}
-    names = [f"region-{index:03d}" for index in range(n_campaigns)]
-    for name in names:
-        store.ingest_aggregate(name, payload)
-    return names
-
-
 def request_plan(names: list[str], n_requests: int) -> list[tuple[str, str]]:
-    """The (route, url-path) sequence one client thread issues.
+    """The (route, url-path) sequence one client issues.
 
     A fixed rotation over the endpoint mix, sweeping campaign names so
-    successive requests hit different store rows; every thread runs the
-    same plan, so the workload is reproducible run to run.
+    successive requests hit different store rows; the workload is
+    reproducible run to run.
     """
     routed = [
         ("/v1/campaigns", "/v1/campaigns?limit=25"),
@@ -115,186 +71,3 @@ def request_plan(names: list[str], n_requests: int) -> list[tuple[str, str]]:
         name = names[index % len(names)]
         plan.append((route, template.format(name=name)))
     return plan
-
-
-def client(
-    base: str,
-    plan: list[tuple[str, str]],
-    latencies: dict[str, list[float]],
-    errors: list[str],
-    lock: threading.Lock,
-) -> None:
-    """One client thread: issue the plan, record per-route latencies."""
-    local: dict[str, list[float]] = {}
-    local_errors: list[str] = []
-    for route, path in plan:
-        start = time.perf_counter()
-        try:
-            with urllib.request.urlopen(base + path, timeout=30) as response:
-                response.read()
-                status = response.status
-        except Exception as exc:  # noqa: BLE001 - any failure is a verdict
-            local_errors.append(f"{path}: {exc}")
-            continue
-        elapsed = time.perf_counter() - start
-        if status != 200:
-            local_errors.append(f"{path}: HTTP {status}")
-            continue
-        local.setdefault(route, []).append(elapsed)
-    with lock:
-        for route, values in local.items():
-            latencies.setdefault(route, []).extend(values)
-        errors.extend(local_errors)
-
-
-def percentiles(values: list[float]) -> dict:
-    """p50/p99 of a latency sample, in milliseconds."""
-    array = np.asarray(values, dtype=float) * 1e3
-    return {
-        "count": int(array.size),
-        "p50_ms": round(float(np.percentile(array, 50)), 3),
-        "p99_ms": round(float(np.percentile(array, 99)), 3),
-    }
-
-
-def run(smoke: bool) -> dict:
-    """Execute the load phase and assemble the report payload."""
-    n_campaigns, n_clients, n_requests = (
-        (SMOKE_CAMPAIGNS, SMOKE_CLIENTS, SMOKE_REQUESTS)
-        if smoke
-        else (FULL_CAMPAIGNS, FULL_CLIENTS, FULL_REQUESTS)
-    )
-    store = AggregateStore(
-        ":memory:", baseline=Baseline.load(default_baseline_path())
-    )
-    ingest_start = time.perf_counter()
-    names = populate(store, n_campaigns)
-    ingest_s = time.perf_counter() - ingest_start
-
-    app = ServeApp(store, readonly=True)
-    server = make_server("127.0.0.1", 0, app)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    base = f"http://127.0.0.1:{server.server_port}"
-
-    plan = request_plan(names, n_requests)
-    latencies: dict[str, list[float]] = {}
-    errors: list[str] = []
-    lock = threading.Lock()
-    workers = [
-        threading.Thread(
-            target=client, args=(base, plan, latencies, errors, lock)
-        )
-        for _ in range(n_clients)
-    ]
-    load_start = time.perf_counter()
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join()
-    load_s = time.perf_counter() - load_start
-
-    exposition = urllib.request.urlopen(base + "/metrics", timeout=30).read()
-    families = parse_exposition(exposition.decode("utf-8"))
-    trace = urllib.request.urlopen(
-        base + f"/v1/services/shares?campaign={names[0]}", timeout=30
-    ).headers.get("X-Repro-Trace")
-
-    server.shutdown()
-    server.server_close()
-    store.close()
-
-    completed = sum(len(values) for values in latencies.values())
-    all_values = [v for values in latencies.values() for v in values]
-    return {
-        "benchmark": "serve-load",
-        "mode": "smoke" if smoke else "full",
-        "config": {
-            "seed": SEED,
-            "campaigns": n_campaigns,
-            "clients": n_clients,
-            "requests_per_client": n_requests,
-            "hll_precision": PRECISION,
-        },
-        "ingest": {
-            "campaigns": n_campaigns,
-            "seconds": round(ingest_s, 3),
-        },
-        "load": {
-            "requests": completed,
-            "errors": len(errors),
-            "error_samples": errors[:5],
-            "seconds": round(load_s, 3),
-            "requests_per_s": round(completed / load_s) if load_s else 0,
-            "overall": percentiles(all_values) if all_values else None,
-            "routes": {
-                route: percentiles(values)
-                for route, values in sorted(latencies.items())
-            },
-        },
-        "exposition": {
-            "families": len(families),
-            "valid": True,
-            "trace_header": trace,
-        },
-        "notes": (
-            "threaded stdlib WSGI stack on loopback; clients open a fresh "
-            "connection per request (no keep-alive), so latencies include "
-            "the TCP handshake; every response is fully read and any "
-            "non-200 counts as an error; the closing /metrics scrape is "
-            "validated by repro.obs.expose.parse_exposition"
-        ),
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized load instead of the nationwide store",
-    )
-    parser.add_argument(
-        "--output",
-        default="BENCH_serve.json",
-        help="report path (default: %(default)s)",
-    )
-    args = parser.parse_args(argv)
-
-    report = run(args.smoke)
-    with open(args.output, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-
-    load = report["load"]
-    print(
-        f"{load['requests']} requests in {load['seconds']}s -> "
-        f"{load['requests_per_s']}/s, "
-        f"p50 {load['overall']['p50_ms']}ms, "
-        f"p99 {load['overall']['p99_ms']}ms, "
-        f"errors {load['errors']}"
-    )
-    print(
-        f"exposition: {report['exposition']['families']} families, "
-        f"trace {report['exposition']['trace_header']}"
-    )
-    print(f"report: {args.output}")
-
-    import sys
-
-    failed = False
-    if load["errors"]:
-        print(f"FAIL: {load['errors']} request error(s)", file=sys.stderr)
-        failed = True
-    if not load["requests_per_s"]:
-        print("FAIL: zero sustained throughput", file=sys.stderr)
-        failed = True
-    if not report["exposition"]["families"]:
-        print("FAIL: /metrics exposed no families", file=sys.stderr)
-        failed = True
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -18,7 +18,7 @@ from repro.dataset.network import Network, NetworkConfig
 from repro.dataset.simulator import SimulationConfig, simulate
 
 #: Scale of the benchmark campaign.  All statistics in the paper are per-BS
-#: distributions, so 40 BSs x 2 days reproduce every shape; day indices 5-6
+#: distributions, so 40 BSs x 7 days reproduce every shape; day indices 5-6
 #: fall on the weekend so the day-type comparisons are exercised.
 BENCH_N_BS = 40
 BENCH_N_DAYS = 7

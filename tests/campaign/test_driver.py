@@ -27,6 +27,8 @@ from repro.core.service_mix import ServiceMix
 from repro.io.cache import ArtifactCache
 from repro.pipeline.executors import ParallelExecutor
 
+from ..conftest import child_peak_rss
+
 SEED = 11
 DAYS = 2
 N_BS = 6
@@ -153,6 +155,30 @@ class TestByteIdentity:
     def test_invalid_chunk_budget_rejected(self, generator):
         with pytest.raises(CampaignError):
             run_campaign(generator, DAYS, SEED, chunk_sessions=0)
+
+
+class TestBoundedMemory:
+    """Peak RSS is bounded by the shard/chunk budget, not campaign size."""
+
+    #: Peak RSS at 8x the BSs must stay within this factor of the base's.
+    RSS_FLAT_TOLERANCE = 1.25
+
+    #: One day at paper-decile rates and the default shard size, run by
+    #: :func:`child_peak_rss` in a fresh interpreter per BS count.  At
+    #: 160 BSs the campaign's sessions take about 40 MiB, so holding them
+    #: would breach the tolerance over the ~105 MiB of imports and models.
+    CAMPAIGN = """
+from benchmarks.bench_campaign import build_generator
+from repro.campaign import run_campaign
+run_campaign(build_generator({n_bs}, 1.0), 1, 0)
+"""
+
+    def test_peak_rss_flat_across_8x_bs_count(self):
+        base, grown = (
+            child_peak_rss(self.CAMPAIGN.format(n_bs=n_bs))
+            for n_bs in (20, 160)
+        )
+        assert max(base, grown) <= self.RSS_FLAT_TOLERANCE * min(base, grown)
 
 
 class TestEmptyShards:

@@ -6,6 +6,11 @@ of the suite; tests must not mutate it.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings as hypothesis_settings
@@ -20,10 +25,46 @@ from repro.dataset.aggregation import aggregate_per_bs_day
 from repro.dataset.network import Network, NetworkConfig
 from repro.dataset.simulator import SimulationConfig, simulate
 
-#: Days of the shared campaign (includes one weekend day: day 5 is Saturday
-#: under the day % 7 convention when starting on Monday=0 ... we simulate
-#: days 0..6 to cover both).
+#: Days of the shared campaign: days 0 and 1, both working days under the
+#: ``day % 7 in {5, 6}`` weekend convention, so it holds no weekend day.
 CAMPAIGN_DAYS = 2
+
+#: BSs of the perf-gate workload (one day at paper-decile peak rates).
+GATE_N_BS = 40
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Runs ``argv[1]`` in a child interpreter and exits with its status.
+_LAUNCHER = (
+    "import subprocess, sys; "
+    "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)"
+)
+
+
+def child_peak_rss(code: str) -> float:
+    """Peak RSS in MiB of a fresh interpreter that runs ``code``.
+
+    ``ru_maxrss`` is a monotone high-water mark, so this process's own
+    figure covers every test run before.  It also survives ``exec``: a
+    process forked from this one starts at this one's resident size.  So
+    a small launcher interpreter forks the measured one, whose figure
+    then covers ``code`` alone (its imports included).
+    """
+    script = (
+        f"{code}\n"
+        "from repro.pipeline.executors import peak_rss_mb\n"
+        "print(peak_rss_mb())\n"
+    )
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, script],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return float(done.stdout.split()[-1])
 
 
 @pytest.fixture(scope="session")
@@ -58,3 +99,15 @@ def campaign_stats(campaign):
 def bank(campaign) -> ModelBank:
     """Session-level models fitted on the shared campaign."""
     return ModelBank.fit_from_table(campaign, min_sessions=400)
+
+
+@pytest.fixture(scope="session")
+def decile_generator():
+    """The perf-gate generator: :data:`GATE_N_BS` BSs at decile rates.
+
+    Built by the campaign benchmark's recipe, so the gates time the same
+    generator the benchmark does.
+    """
+    from benchmarks.bench_campaign import build_generator
+
+    return build_generator(GATE_N_BS, 1.0)

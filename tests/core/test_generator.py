@@ -1,5 +1,7 @@
 """Tests for the model-driven traffic generator."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.arrivals import ArrivalModel
 from repro.core.generator import (
+    DEFAULT_CHUNK_SESSIONS,
     GeneratorError,
     TrafficGenerator,
     generate_campaign_reference,
@@ -15,7 +18,23 @@ from repro.core.generator import (
 )
 from repro.core.service_mix import ServiceMix
 from repro.dataset.circadian import peak_minute_mask
-from repro.dataset.records import SERVICE_NAMES
+from repro.dataset.records import SERVICE_NAMES, SessionArena
+
+from ..conftest import GATE_N_BS, child_peak_rss
+
+#: One streamed pass of the perf-gate workload (one day) through a reused
+#: arena, run by :func:`child_peak_rss` in a fresh interpreter.
+ARENA_STREAM = f"""
+from benchmarks.bench_campaign import build_generator
+from repro.core.generator import DEFAULT_CHUNK_SESSIONS
+from repro.dataset.records import SessionArena
+generator = build_generator({GATE_N_BS}, 1.0)
+arena = SessionArena(capacity=int(DEFAULT_CHUNK_SESSIONS * 1.1))
+for chunk in generator.iter_campaign_chunks(
+    1, 0, chunk_sessions=DEFAULT_CHUNK_SESSIONS, arena=arena
+):
+    len(chunk.table)
+"""
 
 
 @pytest.fixture(scope="module")
@@ -336,3 +355,49 @@ class TestSpooling:
         a = tiny_generator.spool_campaign(1, 11, cache)
         b = tiny_generator.spool_campaign(1, 12, cache)
         assert set(a.chunk_keys).isdisjoint(b.chunk_keys)
+
+
+class TestArenaStreaming:
+    """Speed and memory of the arena-backed streamed path.
+
+    The workload is one day of the perf-gate generator, streamed in
+    ``DEFAULT_CHUNK_SESSIONS`` chunks through one reused arena.
+    """
+
+    #: Peak RSS of the same streamed pass before the arena engine landed.
+    PRE_REFACTOR_PEAK_RSS_MB = 140.8
+
+    #: Streamed sessions/s must be at least this multiple of the pinned
+    #: per-unit reference loop's, both timed here on the same host.
+    SPEEDUP_TARGET = 3.0
+
+    def test_peak_rss_within_pre_refactor(self):
+        assert child_peak_rss(ARENA_STREAM) <= self.PRE_REFACTOR_PEAK_RSS_MB
+
+    def test_streams_faster_than_reference_loop(self, decile_generator):
+        arena = SessionArena(capacity=int(DEFAULT_CHUNK_SESSIONS * 1.1))
+
+        def streamed():
+            sessions = 0
+            for chunk in decile_generator.iter_campaign_chunks(
+                1, 0, chunk_sessions=DEFAULT_CHUNK_SESSIONS, arena=arena
+            ):
+                sessions += len(chunk.table)
+            return sessions
+
+        def reference():
+            return len(generate_campaign_reference(
+                decile_generator, 1, np.random.default_rng(0)
+            ))
+
+        def best_rate(run, trials):
+            """Sessions/s of the fastest of ``trials`` runs."""
+            rates = []
+            for _ in range(trials):
+                start = time.perf_counter()
+                sessions = run()
+                rates.append(sessions / (time.perf_counter() - start))
+            return max(rates)
+
+        speedup = best_rate(streamed, 10) / best_rate(reference, 3)
+        assert speedup >= self.SPEEDUP_TARGET

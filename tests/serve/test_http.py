@@ -15,8 +15,10 @@ import urllib.request
 
 import pytest
 
+from benchmarks.bench_serve import request_plan
 from repro.campaign.fidelity import evaluate_aggregate
 from repro.dataset.records import SERVICE_NAMES
+from repro.obs.expose import parse_exposition
 from repro.serve import ServeApp, make_server
 
 from .conftest import as_json, wsgi_get, wsgi_post
@@ -303,30 +305,43 @@ class TestConcurrency:
     N_THREADS = 8
 
     def test_concurrent_readers_identical_bodies(self, live_server):
+        """Concurrent readers of every read-mix route all get a 200.
+
+        The read mix is the serve benchmark's (listing, shares, volume
+        and duration PDFs, fidelity, ``/metrics``).  A data route serves
+        all readers one body under one ETag; ``/metrics`` counts its own
+        requests, so its bodies differ.  The closing scrape must parse as
+        a valid exposition with at least one family.
+        """
         base, _ = live_server
-        results, errors = [], []
+        for route, path in request_plan(["camp"], 6):
+            results, errors = [], []
 
-        def hit():
-            try:
-                results.append(_fetch(base + "/v1/services/shares"))
-            except Exception as exc:  # pragma: no cover - diagnostic
-                errors.append(exc)
+            def hit(path=path):
+                try:
+                    results.append(_fetch(base + path))
+                except Exception as exc:  # pragma: no cover - diagnostic
+                    errors.append(exc)
 
-        threads = [
-            threading.Thread(target=hit) for _ in range(self.N_THREADS)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not errors
-        assert len(results) == self.N_THREADS
-        statuses = {status for status, _, _ in results}
-        bodies = {body for _, _, body in results}
-        etags = {headers["ETag"] for _, headers, _ in results}
-        assert statuses == {200}
-        assert len(bodies) == 1
-        assert len(etags) == 1
+            threads = [
+                threading.Thread(target=hit) for _ in range(self.N_THREADS)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not errors, (path, errors)
+            assert len(results) == self.N_THREADS, path
+            assert {status for status, _, _ in results} == {200}, path
+            if route == "/metrics":
+                continue
+            bodies = {body for _, _, body in results}
+            etags = {headers["ETag"] for _, headers, _ in results}
+            assert len(bodies) == 1, path
+            assert len(etags) == 1, path
+        status, _, exposition = _fetch(base + "/metrics")
+        assert status == 200
+        assert parse_exposition(exposition.decode("utf-8"))
 
     def test_no_torn_reads_during_reingest(self, live_server, aggregate):
         """Readers racing an ingest see a complete snapshot, never a mix.

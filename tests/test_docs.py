@@ -1,14 +1,26 @@
 """Documentation integrity tests.
 
 The docs are part of the deliverable: the API reference generator must run
-and cover the package, and every public item must carry a docstring.
+and cover the package, every public item must carry a docstring, and every
+repo file the docs name must exist.
 """
 
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import repro
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: A backticked relative file name (``/v1/...`` routes start with a
+#: slash): path characters ending in a file suffix, optionally followed by
+#: a pytest ``::`` node id.
+PATH_TOKEN = re.compile(
+    r"`([\w.*-][\w./*-]*\.(?:py|md|json|toml|ya?ml))(?:::[^`]*)?`"
+)
 
 
 def iter_public_items():
@@ -110,3 +122,33 @@ class TestReportGenerator:
         monkeypatch.setattr(gen, "OUTPUT_DIR", tmp_path / "absent")
         with pytest.raises(SystemExit):
             gen.main()
+
+
+def test_documented_paths_exist():
+    """Every backticked repo file in README, DESIGN and ``docs/`` exists.
+
+    A name with a directory resolves against the repo root, ``src/`` or
+    the doc's own folder (globs allowed); a bare ``.py`` name anywhere in
+    the repo; a bare capitalised name (``README.md``) at the root or
+    beside the doc.  Bare lowercase data names (``manifest.json``) are
+    files a run writes, not repo files.
+    """
+    py_names = {path.name for path in ROOT.rglob("*.py")}
+    docs = [ROOT / "README.md", ROOT / "DESIGN.md"]
+    docs += sorted((ROOT / "docs").glob("*.md"))
+    missing = []
+    for doc in docs:
+        for name in PATH_TOKEN.findall(doc.read_text(encoding="utf-8")):
+            if "/" in name:
+                bases = (ROOT, ROOT / "src", doc.parent)
+                found = any(any(base.glob(name)) for base in bases)
+            elif name.endswith(".py"):
+                found = name in py_names
+            elif name[0].isupper():
+                bases = (ROOT, doc.parent)
+                found = any((base / name).is_file() for base in bases)
+            else:
+                continue
+            if not found:
+                missing.append(f"{doc.relative_to(ROOT)}: {name}")
+    assert missing == []
