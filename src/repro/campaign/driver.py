@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -170,32 +170,6 @@ def _shard_arena() -> SessionArena:
     return arena
 
 
-def _sub_chunks(
-    generator: TrafficGenerator,
-    units: Sequence[tuple[int, int]],
-    chunk_sessions: int,
-) -> list[list[tuple[int, int]]]:
-    """Split a shard's units so each slice stays under the chunk budget.
-
-    Uses the generator's expected per-unit session counts — a pure
-    function of the models — so the split never depends on sampled data
-    and cannot perturb the aggregates (which are merge-order-free
-    anyway).
-    """
-    chunks: list[list[tuple[int, int]]] = []
-    current: list[tuple[int, int]] = []
-    accumulated = 0.0
-    for day, bs_id in units:
-        expected = generator.expected_unit_sessions(bs_id)
-        if current and accumulated + expected > chunk_sessions:
-            chunks.append(current)
-            current, accumulated = [], 0.0
-        current.append((day, bs_id))
-        accumulated += expected
-    chunks.append(current)
-    return chunks
-
-
 def _run_shard(item: tuple) -> dict:
     """Worker entry point: synthesize one shard, return its aggregate.
 
@@ -219,7 +193,7 @@ def _run_shard(item: tuple) -> dict:
     generator = TrafficGenerator(arrivals, mix, bank)
     aggregate = CampaignAggregate.empty(precision=precision, seed=hll_seed)
     arena = _shard_arena()
-    for units in _sub_chunks(generator, shard.units(), chunk_sessions):
+    for units in generator.split_units(shard.units(), chunk_sessions):
         arena.reset()
         table = generator.generate_units(units, root_seed, arena=arena)
         aggregate.update_table(table)

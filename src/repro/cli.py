@@ -41,10 +41,10 @@ worker processes — output is bit-identical for any worker count thanks to
 the per-unit seed streams.  ``simulate``/``fit``/``validate`` cache the
 simulated campaign under ``--cache-dir`` (default ``.repro-cache`` or
 ``$REPRO_CACHE_DIR``), so repeated runs with unchanged config and seed skip
-re-simulation; pass ``--no-cache`` to opt out.  ``generate`` runs the
-batched synthesis engine: ``--chunk-size`` bounds peak memory by spooling
-the campaign chunk-wise through the cache, and repeated runs resume from
-already-spooled chunks.
+re-simulation; pass ``--no-cache`` to opt out.  ``generate`` streams the
+batched synthesis engine chunk by chunk and stores nothing: ``--chunk-size``
+bounds peak memory, ``--trace`` included, since each chunk is appended to
+the trace before the next is drawn.
 
 Every run carries a :class:`~repro.obs.telemetry.Telemetry`: pass
 ``--telemetry-dir DIR`` to stream span/stage/metric events into
@@ -164,16 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--trace", default=None,
         help="also export the generated campaign as a CSV(.gz) trace",
-    )
-    gen.add_argument(
-        "--arena-mb", type=float, default=None, metavar="MB",
-        help="preallocate the reused session arena at this budget instead "
-        "of sizing it from chunk expectations",
-    )
-    gen.add_argument(
-        "--memmap-spool", action="store_true",
-        help="spool cached chunks as raw columnar segments (memory-"
-        "mappable) instead of .npz archives",
     )
     _add_run_flags(gen)
 
@@ -447,11 +437,7 @@ def _cmd_generate(args: argparse.Namespace, ctx: RunContext) -> int:
     pipeline = Pipeline(
         [
             generate_stage(
-                args.days,
-                chunk_sessions=args.chunk_size,
-                materialize=bool(args.trace),
-                arena_mb=args.arena_mb,
-                memmap_spool=args.memmap_spool,
+                args.days, chunk_sessions=args.chunk_size, trace=args.trace
             )
         ],
         inputs=("generator",),
@@ -464,10 +450,7 @@ def _cmd_generate(args: argparse.Namespace, ctx: RunContext) -> int:
     )
     print(f"total traffic: {result.total_volume_mb / 1e3:.1f} GB")
     if args.trace:
-        from .io.traces import write_trace
-
-        rows = write_trace(result.table, args.trace)
-        print(f"trace: {rows} sessions -> {args.trace}")
+        print(f"trace: {result.n_sessions} sessions -> {args.trace}")
     return 0
 
 

@@ -14,7 +14,6 @@ from .duration_model import FitFamily, PowerLawModel, fit_family, fit_power_law
 from .generator import (
     BatchSampler,
     CampaignChunk,
-    CampaignManifest,
     GenerationResult,
     TrafficGenerator,
     generate_campaign_reference,
@@ -30,7 +29,6 @@ __all__ = [
     "ArrivalModel",
     "BatchSampler",
     "CampaignChunk",
-    "CampaignManifest",
     "FitFamily",
     "DriftReport",
     "GenerationResult",

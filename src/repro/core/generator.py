@@ -34,18 +34,16 @@ The engine mirrors the simulator's run architecture:
 * **Arena-backed chunked output** —
   :meth:`TrafficGenerator.iter_campaign_chunks` partitions the campaign
   into chunks of a configurable expected session count and reuses one
-  arena across all of them, and :meth:`TrafficGenerator.spool_campaign`
-  streams those chunks through the artifact cache (optionally as raw
-  memmap-loadable segments), so peak memory stays bounded at 45-day ×
-  thousands-of-BS scale.
+  arena across all of them, so a consumer that drops each chunk keeps
+  peak memory bounded at 45-day × thousands-of-BS scale.  Nothing is
+  stored: every chunk regenerates byte for byte from the root seed.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,7 +56,6 @@ from .model_bank import ModelBank
 from .service_mix import ServiceMix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..io.cache import ArtifactCache
     from ..obs.telemetry import Telemetry
 
 #: Stream label of per-(day, BS) generation RNGs (see :func:`unit_seed`).
@@ -75,9 +72,6 @@ DEFAULT_CHUNK_SESSIONS = 1_000_000
 #: (day, BS) units synthesized together in one executor work item; bounds
 #: both the pickling payload per task and the transient batch arrays.
 BLOCK_UNITS = 16
-
-#: Cache artifact family of spooled campaign chunks.
-GENERATED_KIND = "generated"
 
 #: Minute-of-day index reused by every unit's ``np.repeat`` expansion.
 _MINUTE_INDEX = np.arange(MINUTES_PER_DAY, dtype=np.int16)
@@ -180,7 +174,7 @@ def clear_unit_memos() -> None:
 
     The memos are content-keyed pure functions of ``(root_seed, day,
     bs_id)`` and only pay off when the same unit is generated *again* in
-    this process — repeated benchmark passes, regenerated spool chunks.
+    this process — repeated benchmark passes, regenerated campaigns.
     A one-pass campaign never revisits a unit, so every entry is dead
     weight (~1 KB/unit, up to the 2^16 cap): long-lived campaign workers
     call this between shards to keep resident memory bounded by the
@@ -737,76 +731,17 @@ class CampaignChunk:
 
 
 @dataclass(frozen=True)
-class CampaignManifest:
-    """Index of a campaign spooled chunk-by-chunk into an artifact cache.
-
-    Attributes
-    ----------
-    kind:
-        Cache artifact family the chunks live under.
-    chunk_keys:
-        Content keys of the chunks, in canonical campaign order.
-    n_sessions / total_volume_mb:
-        Campaign-level totals accumulated while spooling.
-    suffix:
-        On-disk chunk format: ``".npz"`` (compressed archive) or the raw
-        segment format of :mod:`repro.io.spool` (memmap spool).
-    """
-
-    kind: str
-    chunk_keys: tuple[str, ...]
-    n_sessions: int
-    total_volume_mb: float
-    suffix: str = ".npz"
-
-    def _loader(self, memmap: bool = False):
-        """Chunk loader callback matching this manifest's on-disk format."""
-        from ..io.cache import load_table
-        from ..io.spool import SEGMENT_SUFFIX, load_segment
-
-        if self.suffix == SEGMENT_SUFFIX:
-            return lambda path: load_segment(path, memmap=memmap)
-        return load_table
-
-    def iter_tables(
-        self, cache: "ArtifactCache", *, memmap: bool = False
-    ) -> Iterator[SessionTable]:
-        """Yield each spooled chunk table in canonical campaign order.
-
-        ``memmap=True`` (segment spools only) maps chunk columns straight
-        from the cache files instead of reading them into fresh arrays.
-        """
-        loader = self._loader(memmap=memmap)
-        for key in self.chunk_keys:
-            yield cache.fetch(self.kind, key, self.suffix, loader)
-
-    def load(self, cache: "ArtifactCache") -> SessionTable:
-        """Materialize the full campaign (memory-unbounded: prefer
-        :meth:`iter_tables` for large spools)."""
-        return SessionTable.concatenate(list(self.iter_tables(cache)))
-
-
-@dataclass(frozen=True)
 class GenerationResult:
-    """Summary of one campaign generation run (chunked or materialized).
+    """Totals of one streamed campaign generation run.
 
-    Attributes
-    ----------
-    n_sessions / total_volume_mb / n_chunks:
-        Campaign totals, available even when the table was never
-        materialized.
-    chunk_keys:
-        Content keys of the spooled chunks (empty when the run did not go
-        through an artifact cache).
-    table:
-        The materialized campaign, or ``None`` for summary-only runs.
+    The campaign itself is never kept: its chunks stream through one
+    reused arena and are dropped once counted (and, optionally, written
+    to a trace).
     """
 
     n_sessions: int
     total_volume_mb: float
     n_chunks: int
-    chunk_keys: tuple[str, ...] = ()
-    table: SessionTable | None = None
 
 
 class TrafficGenerator:
@@ -944,11 +879,23 @@ class TrafficGenerator:
     ) -> list[list[tuple[int, int]]]:
         """Partition the canonical unit list into bounded chunks.
 
+        :meth:`split_units` over :meth:`campaign_units`.
+        """
+        return self.split_units(self.campaign_units(n_days), chunk_sessions)
+
+    def split_units(
+        self,
+        units: Iterable[tuple[int, int]],
+        chunk_sessions: int | None = None,
+    ) -> list[list[tuple[int, int]]]:
+        """Greedily split ``units`` into order-preserving bounded chunks.
+
         Each chunk's *expected* session count stays at or below
         ``chunk_sessions`` (default :data:`DEFAULT_CHUNK_SESSIONS`) except
-        when a single unit alone exceeds the budget.  The plan depends only
-        on the models and the budget — never on sampled data — so chunking
-        cannot perturb the generated campaign.
+        when a single unit alone exceeds the budget.  The split depends
+        only on the models and the budget — never on sampled data — so
+        chunking cannot perturb the generated sessions.  Campaign chunks
+        and the campaign driver's per-shard sub-chunks both come from here.
         """
         budget = (
             DEFAULT_CHUNK_SESSIONS if chunk_sessions is None
@@ -959,12 +906,8 @@ class TrafficGenerator:
         chunks: list[list[tuple[int, int]]] = []
         current: list[tuple[int, int]] = []
         accumulated = 0.0
-        expected_by_bs = {
-            bs_id: self.expected_unit_sessions(bs_id)
-            for bs_id in self.arrival_models
-        }
-        for day, bs_id in self.campaign_units(n_days):
-            expected = expected_by_bs[bs_id]
+        for day, bs_id in units:
+            expected = self.expected_unit_sessions(bs_id)
             if current and accumulated + expected > budget:
                 chunks.append(current)
                 current, accumulated = [], 0.0
@@ -973,7 +916,7 @@ class TrafficGenerator:
         chunks.append(current)
         return chunks
 
-    def _arena_for(
+    def chunk_arena(
         self, plans: Sequence[Sequence[tuple[int, int]]]
     ) -> SessionArena:
         """Fresh arena sized for the largest planned chunk (+8% headroom).
@@ -982,12 +925,9 @@ class TrafficGenerator:
         headroom absorbs nearly every chunk; the rare overshoot costs one
         geometric growth, not a failure.
         """
-        expected = {
-            bs_id: self.expected_unit_sessions(bs_id)
-            for bs_id in self.arrival_models
-        }
         largest = max(
-            sum(expected[bs_id] for _, bs_id in units) for units in plans
+            sum(self.expected_unit_sessions(bs_id) for _, bs_id in units)
+            for units in plans
         )
         return SessionArena(capacity=int(largest * 1.08) + 1024)
 
@@ -1065,7 +1005,7 @@ class TrafficGenerator:
         sampler = self.sampler()
         obs = telemetry
         zero_copy = arena is not None
-        work_arena = arena if zero_copy else self._arena_for(plans)
+        work_arena = arena if zero_copy else self.chunk_arena(plans)
         for index, units in enumerate(plans):
             work_arena.reset()
             if obs:
@@ -1118,30 +1058,24 @@ class TrafficGenerator:
         *,
         executor: SerialExecutor | ParallelExecutor | None = None,
         jobs: int | None = None,
-        chunk_sessions: int | None = None,
     ) -> SessionTable:
         """Generate ``n_days`` of sessions over every configured BS.
 
         ``rng`` may be an integer root seed or a ``Generator`` (from which
         one root seed is drawn); every (day, BS) unit then runs on its own
-        spawned seed stream, so ``jobs=1`` and ``jobs=N`` runs — and any
-        ``chunk_sessions`` setting — produce byte-identical tables.  Pass
-        either an ``executor`` or a ``jobs`` count (an owned executor is
-        created and reaped for the call).
+        spawned seed stream, so ``jobs=1`` and ``jobs=N`` runs produce
+        byte-identical tables, equal to the concatenated chunks of
+        :meth:`iter_campaign_chunks` for any chunk size.  Pass either an
+        ``executor`` or a ``jobs`` count (an owned executor is created and
+        reaped for the call).
 
-        The whole campaign is materialized here regardless of
-        ``chunk_sessions``: all unit blocks fill one expectation-sized
-        arena whose buffers the returned table aliases and keeps alive —
-        chunk splitting would only add a redundant copy.  For bounded peak
-        memory, consume :meth:`iter_campaign_chunks` or
-        :meth:`spool_campaign` instead.
+        The whole campaign is materialized: all unit blocks fill one
+        expectation-sized arena whose buffers the returned table aliases
+        and keeps alive.  For bounded peak memory, consume
+        :meth:`iter_campaign_chunks` instead.
         """
         if executor is not None and jobs is not None:
             raise GeneratorError("pass either executor= or jobs=, not both")
-        if chunk_sessions is not None:
-            # Validate eagerly so chunked and direct calls reject the same
-            # inputs; the value does not affect the (byte-identical) output.
-            self.plan_chunks(n_days, chunk_sessions)
         owned = make_executor(jobs) if executor is None and jobs else None
         runner = (
             executor
@@ -1149,7 +1083,7 @@ class TrafficGenerator:
             else owned if owned is not None else SerialExecutor()
         )
         units = self.campaign_units(n_days)
-        arena = self._arena_for([units])
+        arena = self.chunk_arena([units])
         try:
             lo, hi = self._generate_chunk(
                 self.sampler(), units, coerce_root_seed(rng), runner, arena
@@ -1183,134 +1117,6 @@ class TrafficGenerator:
             self.sampler(), list(units), coerce_root_seed(seed), runner, arena
         )
         return arena.view(lo, hi)
-
-    # ------------------------------------------------------------------
-    # Cache spooling
-    # ------------------------------------------------------------------
-    def _content_parts(self) -> dict:
-        """Configuration facts determining the campaign's content."""
-        return {
-            "artifact": "generated-campaign",
-            "mix": self.mix.probabilities(),
-            "bank": json.loads(self.bank.to_json()),
-            "arrivals": {
-                str(bs_id): self.arrival_models[bs_id]
-                for bs_id in sorted(self.arrival_models)
-            },
-        }
-
-    def spool_campaign(
-        self,
-        n_days: int,
-        seed: int | np.integer | np.random.Generator,
-        cache: "ArtifactCache",
-        *,
-        executor: SerialExecutor | ParallelExecutor | None = None,
-        chunk_sessions: int | None = None,
-        telemetry: "Telemetry | None" = None,
-        arena: SessionArena | None = None,
-        memmap_spool: bool = False,
-    ) -> CampaignManifest:
-        """Generate chunk-by-chunk through the artifact cache.
-
-        Each chunk is content-keyed by the generator's models, the root
-        seed and the chunk's unit identities, and persisted before the
-        next chunk is generated — peak memory stays bounded by one chunk,
-        and every chunk reuses one arena (``arena`` lets callers share
-        theirs).  Chunks already present under their key are loaded
-        instead of regenerated, so an interrupted spool resumes where it
-        stopped; an unreadable (e.g. truncated) chunk artifact is
-        regenerated in place.  Returns the :class:`CampaignManifest`
-        indexing the spool.
-
-        ``memmap_spool=True`` streams each chunk as a raw arena segment
-        (:mod:`repro.io.spool`) instead of a compressed ``.npz``: writes
-        are straight column-buffer dumps and readers may memmap them —
-        the right trade at country scale, where compression time
-        dominates.  Chunk keys are identical either way; only the
-        artifact suffix differs.
-
-        ``telemetry`` (optional) records one ``chunk`` span per spooled
-        chunk — attributed ``cache: "hit"`` for replayed chunks and
-        ``cache: "miss"`` for freshly generated ones — plus the engine's
-        throughput counters and arena gauges; the spooled bytes are
-        byte-identical either way.
-        """
-        from ..io.cache import CacheError, content_key, load_table, save_table
-        from ..io.spool import SEGMENT_SUFFIX, load_segment, save_segment
-
-        if memmap_spool:
-            suffix, save_fn, load_fn = SEGMENT_SUFFIX, save_segment, load_segment
-        else:
-            suffix, save_fn, load_fn = ".npz", save_table, load_table
-
-        root_seed = coerce_root_seed(seed)
-        plans = self.plan_chunks(n_days, chunk_sessions)
-        runner = executor if executor is not None else SerialExecutor()
-        sampler = self.sampler()
-        obs = telemetry
-        work_arena = arena if arena is not None else self._arena_for(plans)
-        config = self._content_parts()
-        keys: list[str] = []
-        n_sessions = 0
-        total_volume = 0.0
-        for index, units in enumerate(plans):
-            key = content_key(
-                {
-                    **config,
-                    "seed": root_seed,
-                    "units": [[day, bs_id] for day, bs_id in units],
-                }
-            )
-
-            def produce(table_key: str = key, chunk_units=units):
-                table: SessionTable | None = None
-                if cache.has(GENERATED_KIND, table_key, suffix):
-                    try:
-                        table = cache.fetch(
-                            GENERATED_KIND, table_key, suffix, load_fn
-                        )
-                    except CacheError:
-                        table = None  # unreadable entry: regenerate below
-                if table is not None:
-                    return table, "hit"
-                work_arena.reset()
-                lo, hi = self._generate_chunk(
-                    sampler, chunk_units, root_seed, runner, work_arena
-                )
-                table = work_arena.view(lo, hi)
-                cache.store(
-                    GENERATED_KIND,
-                    table_key,
-                    suffix,
-                    lambda path, value=table: save_fn(path, value),
-                )
-                return table, "miss"
-
-            if obs:
-                with obs.span(
-                    f"chunk-{index}", kind="chunk",
-                    attrs={"index": index, "units": len(units)},
-                ) as span:
-                    table, provenance = produce()
-                    span.attrs["sessions"] = len(table)
-                    span.attrs["cache"] = provenance
-                    span.attrs["key"] = key
-                self._record_chunk_metrics(
-                    obs, work_arena, len(table), len(units)
-                )
-            else:
-                table, _provenance = produce()
-            keys.append(key)
-            n_sessions += len(table)
-            total_volume += table.total_volume_mb()
-        return CampaignManifest(
-            kind=GENERATED_KIND,
-            chunk_keys=tuple(keys),
-            n_sessions=n_sessions,
-            total_volume_mb=float(total_volume),
-            suffix=suffix,
-        )
 
 
 def generate_campaign_reference(

@@ -14,6 +14,7 @@ import csv
 import gzip
 import io
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -74,37 +75,47 @@ _SERVICE_NAME_ARRAY = np.asarray(SERVICE_NAMES, dtype=object)
 
 
 def write_trace(
-    table: SessionTable, path: str | Path, chunk_rows: int = WRITE_CHUNK_ROWS
+    tables: SessionTable | Iterable[SessionTable],
+    path: str | Path,
+    chunk_rows: int = WRITE_CHUNK_ROWS,
 ) -> int:
-    """Write a session table as CSV (gzip if the path ends in ``.gz``).
+    """Write session rows as CSV (gzip if the path ends in ``.gz``).
 
-    Returns the number of rows written.  Services are stored by name, so
-    traces stay readable and robust to catalog reordering.  Rows are
-    rendered and flushed in chunks of ``chunk_rows``: each chunk's columns
-    are formatted vectorized (multi-million-session campaigns export in
+    ``tables`` is one table or an iterable of tables — e.g. the chunks of
+    a streamed campaign, each consumed before the next is drawn — whose
+    rows are appended in order; the file's bytes depend only on the
+    concatenated rows, never on how they were split.  Returns the number
+    of rows written.  Services are stored by name, so traces stay
+    readable and robust to catalog reordering.  Rows are rendered and
+    flushed in chunks of ``chunk_rows``: each chunk's columns are
+    formatted vectorized (multi-million-session campaigns export in
     seconds) but only one chunk of formatted strings is ever held in
     memory, so export memory stays bounded regardless of campaign size.
     """
     if chunk_rows < 1:
         raise TraceError(f"chunk_rows must be >= 1, got {chunk_rows}")
+    if isinstance(tables, SessionTable):
+        tables = (tables,)
     path = Path(path)
+    rows = 0
     with _open_text(path, "w") as handle:
         handle.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for lo in range(0, len(table), chunk_rows):
-            hi = min(lo + chunk_rows, len(table))
-            block = [
-                _SERVICE_NAME_ARRAY[table.service_idx[lo:hi]],
-                table.bs_id[lo:hi].astype(str),
-                table.day[lo:hi].astype(str),
-                table.start_minute[lo:hi].astype(str),
-                np.char.mod("%.3f", table.duration_s[lo:hi].astype(float)),
-                np.char.mod("%.6f", table.volume_mb[lo:hi].astype(float)),
-                table.truncated[lo:hi].astype(int).astype(str),
-            ]
-            lines = [",".join(row) for row in zip(*block)]
-            if lines:
+        for table in tables:
+            for lo in range(0, len(table), chunk_rows):
+                hi = min(lo + chunk_rows, len(table))
+                block = [
+                    _SERVICE_NAME_ARRAY[table.service_idx[lo:hi]],
+                    table.bs_id[lo:hi].astype(str),
+                    table.day[lo:hi].astype(str),
+                    table.start_minute[lo:hi].astype(str),
+                    np.char.mod("%.3f", table.duration_s[lo:hi].astype(float)),
+                    np.char.mod("%.6f", table.volume_mb[lo:hi].astype(float)),
+                    table.truncated[lo:hi].astype(int).astype(str),
+                ]
+                lines = [",".join(row) for row in zip(*block)]
                 handle.write("\r\n".join(lines) + "\r\n")
-    return len(table)
+            rows += len(table)
+    return rows
 
 
 def read_trace(path: str | Path) -> SessionTable:

@@ -8,8 +8,8 @@ Builders for the named stages the CLI (and scripts) assemble into runs:
 * ``fit-models`` — per-service session-level model fitting fan-out;
 * ``fit-arrivals`` — per-decile bi-modal arrival model fitting;
 * ``read-trace`` — load a campaign from a CSV(.gz) trace instead;
-* ``generate`` — synthesize a campaign from a ``TrafficGenerator`` via the
-  batched seed-stream engine, spooled chunk-wise through the cache;
+* ``generate`` — stream a campaign from a ``TrafficGenerator`` via the
+  batched seed-stream engine, chunk by chunk, optionally into a trace;
 * ``validate`` — check a campaign against the paper's stylized facts;
 * ``verify`` — the statistical fidelity gate: measure the paper's headline
   statistics on the run's artifacts and judge them against the golden
@@ -133,67 +133,55 @@ def fit_arrivals_stage(n_days: int) -> Stage:
 def generate_stage(
     n_days: int,
     chunk_sessions: int | None = None,
-    materialize: bool = True,
-    arena_mb: float | None = None,
-    memmap_spool: bool = False,
+    trace: str | Path | None = None,
 ) -> Stage:
-    """Stage synthesizing a campaign from a ``generator`` artifact.
+    """Stage streaming a campaign from a ``generator`` artifact.
 
     Runs the batched engine of
     :class:`~repro.core.generator.TrafficGenerator` under the run context's
     executor and root seed; every (day, BS) unit draws from its own spawned
-    seed stream, so the produced campaign is byte-identical for any
-    ``--jobs`` or ``chunk_sessions`` setting.  With a cache on the context,
-    chunks are spooled through it (bounded peak memory, resumable);
-    ``materialize=False`` then keeps only the campaign totals, never the
-    full table.  ``arena_mb`` preallocates the reused session arena at a
-    fixed budget instead of sizing it from chunk expectations;
-    ``memmap_spool`` spools chunks as raw columnar segments instead of
-    ``.npz`` archives, so downstream consumers can memory-map them.
-    Produces a :class:`~repro.core.generator.GenerationResult`.
+    seed stream, so the campaign is byte-identical for any ``--jobs`` or
+    ``chunk_sessions`` setting.  Chunks stream through one reused arena as
+    zero-copy views, each summed into the totals (and, with ``trace``,
+    appended to that CSV(.gz) file) before the next is drawn, so peak
+    memory stays bounded by one chunk.  Nothing is cached: the campaign
+    regenerates byte for byte from the seed.  Produces a
+    :class:`~repro.core.generator.GenerationResult`.
     """
     from ..core.generator import GenerationResult
-    from ..dataset.records import SessionArena
+    from ..io.traces import write_trace
 
     def run(ctx, artifacts):
         generator = artifacts["generator"]
+        plans = generator.plan_chunks(n_days, chunk_sessions)
+        n_sessions, total_volume = 0, 0.0
         with ctx.executor() as executor:
-            if ctx.cache is not None:
-                arena = (
-                    SessionArena.from_budget_mb(arena_mb)
-                    if arena_mb is not None
-                    else None
-                )
-                manifest = generator.spool_campaign(
-                    n_days,
-                    ctx.seed,
-                    ctx.cache,
-                    executor=executor,
-                    chunk_sessions=chunk_sessions,
-                    telemetry=ctx.telemetry,
-                    arena=arena,
-                    memmap_spool=memmap_spool,
-                )
-                return GenerationResult(
-                    n_sessions=manifest.n_sessions,
-                    total_volume_mb=manifest.total_volume_mb,
-                    n_chunks=len(manifest.chunk_keys),
-                    chunk_keys=manifest.chunk_keys,
-                    table=manifest.load(ctx.cache) if materialize else None,
-                )
-            table = generator.generate_campaign(
+            chunks = generator.iter_campaign_chunks(
                 n_days,
                 ctx.seed,
                 executor=executor,
                 chunk_sessions=chunk_sessions,
+                telemetry=ctx.telemetry,
+                arena=generator.chunk_arena(plans),
             )
-            ctx.obs.metrics.counter("generator.sessions").inc(len(table))
-            return GenerationResult(
-                n_sessions=len(table),
-                total_volume_mb=table.total_volume_mb(),
-                n_chunks=len(generator.plan_chunks(n_days, chunk_sessions)),
-                table=table if materialize else None,
-            )
+
+            def tables():
+                nonlocal n_sessions, total_volume
+                for chunk in chunks:
+                    n_sessions += len(chunk.table)
+                    total_volume += chunk.table.total_volume_mb()
+                    yield chunk.table
+
+            if trace is None:
+                for _ in tables():
+                    pass
+            else:
+                write_trace(tables(), trace)
+        return GenerationResult(
+            n_sessions=n_sessions,
+            total_volume_mb=total_volume,
+            n_chunks=len(plans),
+        )
 
     def summarize(result):
         return {

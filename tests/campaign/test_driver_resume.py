@@ -1,9 +1,9 @@
 """Campaign resume under faults: killed driver, corrupt checkpoints.
 
-Mirrors ``tests/core/test_spool_resume.py`` at the campaign layer: a
-driver process killed mid-campaign leaves a prefix of valid per-shard
-checkpoints behind; a torn or tampered checkpoint must be detected and
-recomputed, never trusted.  In every scenario the resumed campaign's
+The artifact cache's kill and torn-write recovery, tested where the
+cache still holds computed state: a driver process killed mid-campaign
+leaves a prefix of valid per-shard checkpoints behind; a torn or
+tampered checkpoint must be detected and recomputed, never trusted.  In every scenario the resumed campaign's
 merged aggregate must be **byte-identical** (same digest) to an
 uninterrupted run.
 """

@@ -18,7 +18,7 @@ from repro.core.generator import (
 )
 from repro.core.service_mix import ServiceMix
 from repro.dataset.circadian import peak_minute_mask
-from repro.dataset.records import SERVICE_NAMES, SessionArena
+from repro.dataset.records import SERVICE_NAMES, SessionArena, SessionTable
 
 from ..conftest import GATE_N_BS, child_peak_rss
 
@@ -164,8 +164,21 @@ class TestSeedStreams:
 class TestChunking:
     def test_chunked_equals_unchunked(self, tiny_generator):
         whole = tiny_generator.generate_campaign(2, 11)
-        chunked = tiny_generator.generate_campaign(2, 11, chunk_sessions=500)
+        chunks = tiny_generator.iter_campaign_chunks(2, 11, chunk_sessions=500)
+        chunked = SessionTable.concatenate([chunk.table for chunk in chunks])
         assert _tables_identical(whole, chunked)
+
+    def test_tiny_caller_arena_changes_nothing(self, tiny_generator):
+        # Zero-copy views into one reused (and here repeatedly grown)
+        # caller arena carry the same rows as the owning chunk tables.
+        arena = SessionArena(capacity=8)
+        owned = tiny_generator.iter_campaign_chunks(2, 11, chunk_sessions=500)
+        viewed = tiny_generator.iter_campaign_chunks(
+            2, 11, chunk_sessions=500, arena=arena
+        )
+        for a, b in zip(owned, viewed, strict=True):
+            assert a.units == b.units
+            assert _tables_identical(a.table, b.table)
 
     def test_chunks_cover_canonical_units_in_order(self, tiny_generator):
         chunks = list(
@@ -306,55 +319,6 @@ class TestDistributionFidelity:
         assert _tables_identical(first.table, second.table)
         assert np.all(first.table.duration_s >= 1.0)
         assert np.all(first.table.volume_mb > 0)
-
-
-class TestSpooling:
-    def test_spool_roundtrip_matches_direct_generation(
-        self, tiny_generator, tmp_path
-    ):
-        from repro.io.cache import ArtifactCache
-
-        cache = ArtifactCache(tmp_path)
-        manifest = tiny_generator.spool_campaign(
-            2, 11, cache, chunk_sessions=500
-        )
-        direct = tiny_generator.generate_campaign(2, 11)
-        assert manifest.n_sessions == len(direct)
-        assert manifest.total_volume_mb == pytest.approx(
-            direct.total_volume_mb(), rel=1e-6
-        )
-        assert _tables_identical(manifest.load(cache), direct)
-
-    def test_spool_resumes_from_cached_chunks(self, tiny_generator, tmp_path):
-        from repro.io.cache import ArtifactCache
-
-        cache = ArtifactCache(tmp_path)
-        first = tiny_generator.spool_campaign(2, 11, cache, chunk_sessions=500)
-        stamps = {
-            key: cache.path_for(first.kind, key, ".npz").stat().st_mtime_ns
-            for key in first.chunk_keys
-        }
-        second = tiny_generator.spool_campaign(
-            2, 11, cache, chunk_sessions=500
-        )
-        assert second.chunk_keys == first.chunk_keys
-        assert second.n_sessions == first.n_sessions
-        for key in second.chunk_keys:
-            # untouched on the second run: chunks were loaded, not rebuilt
-            assert (
-                cache.path_for(second.kind, key, ".npz").stat().st_mtime_ns
-                == stamps[key]
-            )
-
-    def test_different_seeds_spool_under_different_keys(
-        self, tiny_generator, tmp_path
-    ):
-        from repro.io.cache import ArtifactCache
-
-        cache = ArtifactCache(tmp_path)
-        a = tiny_generator.spool_campaign(1, 11, cache)
-        b = tiny_generator.spool_campaign(1, 12, cache)
-        assert set(a.chunk_keys).isdisjoint(b.chunk_keys)
 
 
 class TestArenaStreaming:

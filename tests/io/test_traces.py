@@ -80,6 +80,21 @@ class TestRoundTrip:
         assert np.array_equal(restored.service_idx, original.service_idx)
         assert np.allclose(restored.volume_mb, original.volume_mb, rtol=1e-5)
 
+    @pytest.mark.parametrize("name", ["trace.csv", "trace.csv.gz"])
+    def test_list_of_chunks_matches_whole_table(self, tmp_path, name):
+        # Streamed export: the bytes depend only on the concatenated rows,
+        # never on how they were split into chunks (empty ones included).
+        table = small_table()
+        first, rest = np.arange(3) < 1, np.arange(3) >= 1
+        chunks = [
+            table.select(first), SessionTable.empty(), table.select(rest),
+            SessionTable.empty(),
+        ]
+        whole, chunked = tmp_path / f"whole-{name}", tmp_path / f"chunked-{name}"
+        assert write_trace(table, whole) == 3
+        assert write_trace(iter(chunks), chunked, chunk_rows=1) == 3
+        assert whole.read_bytes() == chunked.read_bytes()
+
     def test_invalid_chunk_size_rejected(self, tmp_path):
         with pytest.raises(TraceError):
             write_trace(small_table(), tmp_path / "x.csv", chunk_rows=0)

@@ -48,24 +48,6 @@ class TestGeneratorDeterminism:
             observed = tiny_generator.generate_campaign(1, 7, executor=obs_ex)
         assert _tables_identical(plain, observed)
 
-    def test_spooled_chunks_share_cache_keys_with_telemetry(
-        self, tiny_generator, tmp_path
-    ):
-        from repro.io.cache import ArtifactCache
-
-        plain_cache = ArtifactCache(tmp_path / "plain")
-        plain = tiny_generator.spool_campaign(1, 11, plain_cache)
-        telemetry = Telemetry(directory=tmp_path / "tel", verbosity=0)
-        obs_cache = ArtifactCache(tmp_path / "observed", telemetry=telemetry)
-        observed = tiny_generator.spool_campaign(
-            1, 11, obs_cache, telemetry=telemetry
-        )
-        telemetry.finalize()
-        # Identical chunk keys: telemetry is invisible to content hashing.
-        assert plain.chunk_keys == observed.chunk_keys
-        assert plain.n_sessions == observed.n_sessions
-        assert _tables_identical(plain.load(plain_cache), observed.load(obs_cache))
-
 
 class TestPipelineDeterminism:
     def test_pipeline_cache_keys_identical_with_telemetry(self, tmp_path):

@@ -100,30 +100,14 @@ class TestCli:
         assert "chunk(s)" in out
         assert trace.exists()
 
-    def test_generate_rerun_resumes_from_spooled_chunks(
-        self, tmp_path, capsys
-    ):
-        models = tmp_path / "models.json"
-        main(
-            ["--seed", "1", "fit", "--bs", "10", "--days", "1",
-             "--output", str(models)]
-        )
-        argv = [
-            "--seed", "2", "generate", "--models", str(models),
-            "--bs", "2", "--days", "1", "--decile", "2",
-        ]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        # identical totals on resume: the spooled chunks were reused
-        assert [l for l in first.splitlines() if "generated" in l] == [
-            l for l in second.splitlines() if "generated" in l
-        ]
-
-    def test_generate_arena_and_memmap_spool_flags(
+    def test_generate_streams_identical_trace_and_caches_nothing(
         self, tmp_path, capsys, monkeypatch
     ):
+        from repro.core.generator import TrafficGenerator
+        from repro.core.service_mix import ServiceMix
+        from repro.io.params import load_release
+        from repro.io.traces import write_trace
+
         cache_dir = tmp_path / "cache"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
         models = tmp_path / "models.json"
@@ -131,17 +115,29 @@ class TestCli:
             ["--seed", "1", "fit", "--bs", "10", "--days", "1",
              "--output", str(models)]
         )
-        capsys.readouterr()
-        code = main(
-            [
-                "--seed", "2", "generate", "--models", str(models),
-                "--bs", "2", "--days", "1", "--decile", "2",
-                "--arena-mb", "2", "--memmap-spool",
-            ]
+        argv = [
+            "--seed", "2", "generate", "--models", str(models),
+            "--bs", "3", "--days", "1", "--decile", "2",
+        ]
+        serial, parallel = tmp_path / "serial.csv.gz", tmp_path / "par.csv.gz"
+        assert main(argv + ["--jobs", "1", "--trace", str(serial)]) == 0
+        assert main(
+            argv + ["--jobs", "2", "--chunk-size", "2000",
+                    "--trace", str(parallel)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "in 1 chunk(s)" in out and "in 3 chunk(s)" in out
+        assert serial.read_bytes() == parallel.read_bytes()
+        # The streamed file equals a one-shot export of the whole campaign.
+        bank, arrivals = load_release(models)
+        mix = ServiceMix.from_table1().restricted_to(bank.services())
+        generator = TrafficGenerator(
+            {bs: arrivals["decile-2"] for bs in range(3)}, mix, bank
         )
-        assert code == 0
-        assert "generated" in capsys.readouterr().out
-        assert list(cache_dir.rglob("*.seg"))  # raw segment chunks spooled
+        whole = tmp_path / "whole.csv.gz"
+        write_trace(generator.generate_campaign(1, 2), whole)
+        assert serial.read_bytes() == whole.read_bytes()
+        assert not (cache_dir / "generated").exists()
 
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):

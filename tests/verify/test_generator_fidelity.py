@@ -38,9 +38,7 @@ def generated(campaign, network, bank):
     generator = TrafficGenerator(
         {bs: arrival for bs in range(GENERATED_BS)}, mix, bank
     )
-    table = generator.generate_campaign(
-        GENERATED_DAYS, 0, chunk_sessions=50_000
-    )
+    table = generator.generate_campaign(GENERATED_DAYS, 0)
     return generator, arrival, table
 
 
