@@ -32,11 +32,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from ..core.generator import (
-    TrafficGenerator,
-    clear_unit_memos,
-    coerce_root_seed,
-)
+from ..core.generator import TrafficGenerator, coerce_root_seed
 from ..dataset.records import SessionArena
 from ..io.cache import ArtifactCache, CacheError, Described, content_key
 from ..obs.progress import ProgressTracker
@@ -170,27 +166,17 @@ def _shard_arena() -> SessionArena:
     return arena
 
 
-def _run_shard(item: tuple) -> dict:
+def _run_shard(item: tuple) -> CampaignAggregate:
     """Worker entry point: synthesize one shard, return its aggregate.
 
-    ``item`` carries only the shard's own arrival models (not the whole
-    campaign's), the shared mix/bank, the root seed and the sketch
-    configuration — everything picklable.  Sessions stream through this
-    process's reused arena in expectation-bounded sub-chunks and are
-    dropped as soon as the sketches absorbed them; the return value is
-    the aggregate's exact serialized form.
+    ``item`` carries the shard, a :meth:`TrafficGenerator.restricted`
+    sub-generator holding only the shard's own arrival models and the
+    run's one built sampler, the root seed and the sketch configuration
+    — everything picklable.  Sessions stream through this process's
+    reused arena in expectation-bounded sub-chunks and are dropped as
+    soon as the sketches absorbed them.
     """
-    (
-        shard,
-        arrivals,
-        mix,
-        bank,
-        root_seed,
-        chunk_sessions,
-        precision,
-        hll_seed,
-    ) = item
-    generator = TrafficGenerator(arrivals, mix, bank)
+    shard, generator, root_seed, chunk_sessions, precision, hll_seed = item
     aggregate = CampaignAggregate.empty(precision=precision, seed=hll_seed)
     arena = _shard_arena()
     for units in generator.split_units(shard.units(), chunk_sessions):
@@ -198,19 +184,16 @@ def _run_shard(item: tuple) -> dict:
         table = generator.generate_units(units, root_seed, arena=arena)
         aggregate.update_table(table)
     aggregate.count_units(len(shard.bs_ids))
-    # A campaign never revisits a unit, so the engine's per-unit seed
-    # memos can only grow across shards — drop them to keep long-lived
-    # workers bounded by the shard.
-    clear_unit_memos()
-    return aggregate.to_dict()
+    return aggregate
 
 
 def _key_constants(mix, bank, root_seed: int, precision: int, hll_seed: int) -> dict:
     """The part of every shard's content key that is fixed for the run.
 
-    Serializing and canonicalizing the model bank dominates keying, so
-    :func:`run_campaign` derives this once and :func:`_shard_key` only
-    adds each shard's own facts.
+    Describing the model bank dominates keying, so :func:`_shard_keys`
+    derives this once per run and :func:`_shard_key` only adds each
+    shard's own facts; :class:`Described` parts are spliced into every
+    key as text.
     """
     return {
         "artifact": "campaign-shard-aggregate",
@@ -222,11 +205,14 @@ def _key_constants(mix, bank, root_seed: int, precision: int, hll_seed: int) -> 
     }
 
 
-def _shard_key(shard: Shard, arrivals: dict, constants: dict) -> str:
+def _shard_key(
+    shard: Shard, arrivals: dict[int, Described], constants: dict
+) -> str:
     """Content key of one shard's checkpoint aggregate.
 
     Derived from the facts that determine the aggregate's bytes: the
-    shard's own models, the root seed, the unit set and the sketch
+    shard's own models (``arrivals`` maps each BS to its model, described
+    once per run), the root seed, the unit set and the sketch
     configuration (including the serialization format version), the
     run-wide ones coming from :func:`_key_constants`.  The chunk budget
     is deliberately excluded — chunking cannot change the aggregate, so
@@ -242,6 +228,31 @@ def _shard_key(shard: Shard, arrivals: dict, constants: dict) -> str:
             "bs_ids": list(shard.bs_ids),
         }
     )
+
+
+def _shard_keys(
+    generator: TrafficGenerator,
+    shards: list[Shard],
+    root_seed: int,
+    precision: int,
+    hll_seed: int,
+) -> dict[int, str]:
+    """Content keys of every shard's checkpoint, by shard index.
+
+    The bank, the mix and each BS's arrival model are described once for
+    all shards and spliced into every key; the descriptions are dropped
+    on return, before any checkpoint is read.
+    """
+    constants = _key_constants(
+        generator.mix, generator.bank, root_seed, precision, hll_seed
+    )
+    arrivals = {
+        bs_id: Described(model)
+        for bs_id, model in generator.arrival_models.items()
+    }
+    return {
+        shard.index: _shard_key(shard, arrivals, constants) for shard in shards
+    }
 
 
 def _load_checkpoint(path: Path) -> CampaignAggregate:
@@ -333,18 +344,14 @@ def run_campaign(
     if trace_id is None:
         trace_id = getattr(obs, "trace_id", None) or mint_trace_id(root_seed)
 
-    keys: dict[int, str] = {}
+    keys = (
+        _shard_keys(generator, shards, root_seed, hll_precision, hll_seed)
+        if cache is not None
+        else {}
+    )
     resumed: dict[int, CampaignAggregate] = {}
     pending: list[Shard] = []
-    if cache is not None:
-        constants = _key_constants(
-            generator.mix, generator.bank, root_seed, hll_precision, hll_seed
-        )
     for shard in shards:
-        if cache is not None:
-            keys[shard.index] = _shard_key(
-                shard, generator.arrival_models, constants
-            )
         restored = None
         if (
             cache is not None
@@ -412,9 +419,7 @@ def run_campaign(
         items = [
             (
                 shard,
-                {bs_id: generator.arrival_models[bs_id] for bs_id in shard.bs_ids},
-                generator.mix,
-                generator.bank,
+                generator.restricted(shard.bs_ids),
                 root_seed,
                 chunk_sessions,
                 hll_precision,
@@ -422,8 +427,7 @@ def run_campaign(
             )
             for shard in batch
         ]
-        for shard, payload in zip(batch, runner.map(_run_shard, items)):
-            aggregate = CampaignAggregate.from_dict(payload)
+        for shard, aggregate in zip(batch, runner.map(_run_shard, items)):
             computed[shard.index] = aggregate
             n_computed += 1
             sessions_done += aggregate.n_sessions

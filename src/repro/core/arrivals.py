@@ -10,6 +10,7 @@ model from per-minute count samples and samples synthetic days from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -73,22 +74,58 @@ class ArrivalModel:
     def sample_minute_counts(
         self, rng: np.random.Generator, peak_phase: np.ndarray
     ) -> np.ndarray:
-        """Integer arrival counts for minutes flagged peak/off-peak."""
+        """Integer arrival counts for minutes flagged peak/off-peak.
+
+        Draws one standard normal per peak minute, then one uniform per
+        off-peak minute, and maps them through :func:`arrival_counts`.
+        """
         peak_phase = np.asarray(peak_phase, dtype=bool)
-        counts = np.empty(peak_phase.size)
         n_peak = int(peak_phase.sum())
-        if n_peak:
-            counts[peak_phase] = self.peak.sample(rng, n_peak)
-        n_night = peak_phase.size - n_peak
-        if n_night:
-            counts[~peak_phase] = self.night.sample(rng, n_night)
-        np.rint(counts, out=counts)
-        np.maximum(counts, 0.0, out=counts)
-        return counts.astype(np.int64)
+        peak_z = rng.standard_normal(n_peak)
+        night_q = rng.random(peak_phase.size - n_peak)
+        return arrival_counts(
+            [self], peak_z[None], night_q[None], peak_phase
+        )[0]
 
     def sample_day(self, rng: np.random.Generator) -> np.ndarray:
         """Arrival counts for the 1440 minutes of one synthetic day."""
         return self.sample_minute_counts(rng, peak_minute_mask())
+
+
+#: Peak-phase minutes of one day; the rest are the night phase.
+N_PEAK_MINUTES = int(peak_minute_mask().sum())
+
+
+def arrival_counts(
+    models: Sequence[ArrivalModel],
+    peak_z: np.ndarray,
+    night_q: np.ndarray,
+    peak_phase: np.ndarray,
+) -> np.ndarray:
+    """Integer arrival counts of many models from their raw draws.
+
+    Row ``i`` maps ``models[i]``'s standard normals ``peak_z[i]`` (one
+    per peak minute, in minute order) to ``mu + sigma * z`` and its
+    uniforms ``night_q[i]`` (one per off-peak minute) through the Pareto
+    inverse CDF ``scale / (1 - q) ** (1 / shape)``, then rounds to the
+    nearest integer and clips at zero.  ``mu + sigma * z`` is exactly
+    what ``rng.normal(mu, sigma)`` returns for the same normal draw, so
+    the block form equals per-model sampling bit for bit.  Returns an
+    ``(n, peak_phase.size)`` int64 array.
+    """
+    peak_phase = np.asarray(peak_phase, dtype=bool)
+    params = np.array([
+        (m.peak_mu, m.peak_sigma, m.night_scale, 1.0 / m.night_shape)
+        for m in models
+    ]).reshape(len(models), 4)
+    mu, sigma, scale, inv_shape = np.split(params, 4, axis=1)
+    counts = np.empty((len(models), peak_phase.size))
+    counts[:, peak_phase] = mu + sigma * peak_z
+    counts[:, ~peak_phase] = scale / (1.0 - night_q) ** inv_shape
+    np.rint(counts, out=counts)
+    np.maximum(counts, 0.0, out=counts)
+    return counts.astype(np.int64)
+
 
 
 def fit_arrival_model(

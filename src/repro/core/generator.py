@@ -16,7 +16,9 @@ The engine mirrors the simulator's run architecture:
   bit-identical for any unit order, chunking, or worker count.  Unit
   streams run on the SFC64 bit generator (:func:`unit_rng`), whose raw
   float32 fill is ~1.8x faster than PCG64 — the uniform draw is the
-  engine's second-largest cost.  The historical single-shared-RNG loop
+  engine's second-largest cost.  The engine derives a chunk's unit
+  states in bulk (:func:`unit_states`), bit-identical to seeding each
+  unit on its own.  The historical single-shared-RNG loop
   (kept as :func:`generate_campaign_reference`) silently depended on dict
   iteration order and could never match a parallel run.
 * **Fused one-pass sampling** — each session consumes exactly ONE float32
@@ -49,9 +51,9 @@ import numpy as np
 
 from ..dataset.circadian import MINUTES_PER_DAY, peak_minute_mask
 from ..dataset.records import SERVICE_NAMES, SessionArena, SessionTable
-from ..pipeline.context import coerce_root_seed, stream_seed
+from ..pipeline.context import _key_word, coerce_root_seed, stream_seed
 from ..pipeline.executors import ParallelExecutor, SerialExecutor, make_executor
-from .arrivals import ArrivalModel
+from .arrivals import N_PEAK_MINUTES, ArrivalModel, arrival_counts
 from .model_bank import ModelBank
 from .service_mix import ServiceMix
 
@@ -72,6 +74,11 @@ DEFAULT_CHUNK_SESSIONS = 1_000_000
 #: (day, BS) units synthesized together in one executor work item; bounds
 #: both the pickling payload per task and the transient batch arrays.
 BLOCK_UNITS = 16
+
+#: Units per block on the serial path, which pickles nothing: larger
+#: blocks spread each block's fixed numpy cost (arrival transform, fused
+#: kernel) over more units while the transient draw arrays stay ~2 MB.
+SERIAL_BLOCK_UNITS = 64
 
 #: Minute-of-day index reused by every unit's ``np.repeat`` expansion.
 _MINUTE_INDEX = np.arange(MINUTES_PER_DAY, dtype=np.int16)
@@ -127,24 +134,10 @@ def unit_seed(
     Derived from the root seed and the unit's identity alone — the same
     spawn-key scheme :class:`~repro.pipeline.context.RunContext` uses — so
     the unit's sessions are reproducible no matter where, in what order, or
-    in which chunk the unit runs.
+    in which chunk the unit runs.  The engine itself derives unit states in
+    bulk with :func:`unit_states`; this is the reference it must equal.
     """
-    key = (int(root_seed), int(day), int(bs_id))
-    seq = _SEED_CACHE.get(key)
-    if seq is None:
-        if len(_SEED_CACHE) >= 1 << 16:
-            # repro-lint: disable-next-line=P204 -- content-keyed per-process memo; value is a pure function of the key
-            _SEED_CACHE.clear()
-        seq = stream_seed(root_seed, UNIT_STREAM, day, bs_id)
-        # repro-lint: disable-next-line=P204 -- content-keyed per-process memo; value is a pure function of the key
-        _SEED_CACHE[key] = seq
-    return seq
-
-
-#: Per-process memo of unit seed sequences — ``SeedSequence`` construction
-#: costs tens of microseconds, which at one per (day, BS) unit is visible
-#: next to the fused kernel; sequences are immutable and reusable.
-_SEED_CACHE: dict[tuple[int, int, int], np.random.SeedSequence] = {}
+    return stream_seed(root_seed, UNIT_STREAM, day, bs_id)
 
 
 def unit_rng(root_seed: int, day: int, bs_id: int) -> np.random.Generator:
@@ -163,61 +156,130 @@ def unit_rng(root_seed: int, day: int, bs_id: int) -> np.random.Generator:
     )
 
 
-#: Per-process memo of initial SFC64 states, keyed like :data:`_SEED_CACHE`.
-#: A state is a pure function of the key; the setter of
-#: ``BitGenerator.state`` copies values in, so cached dicts never mutate.
-_SFC_STATE_CACHE: dict[tuple[int, int, int], dict] = {}
+# ----------------------------------------------------------------------
+# Bulk unit seeding
+# ----------------------------------------------------------------------
+#: Constants of NumPy's ``SeedSequence`` hash (its ``bit_generator``
+#: module): entropy mixing (``_A``), state generation (``_B``), the
+#: pool-word mix and the xorshift width, plus the pool size in words.
+_SS_INIT_A = 0x43B0D7E5
+_SS_MULT_A = 0x931E8875
+_SS_INIT_B = 0x8B51F9DD
+_SS_MULT_B = 0x58F38DED
+_SS_MIX_L = 0xCA01F9DD
+_SS_MIX_R = 0x4973F715
+_SS_XSHIFT = 16
+_SS_POOL = 4
+_M32 = 0xFFFFFFFF
+
+#: SFC64 discards this many outputs after seeding.
+_SFC_WARMUP = 12
 
 
-def clear_unit_memos() -> None:
-    """Drop the per-process unit seed/state memos.
+def _uint32_words(value: int) -> list[int]:
+    """``SeedSequence``'s little-endian uint32 split of one entropy int."""
+    words = [] if value else [0]
+    while value:
+        words.append(value & _M32)
+        value >>= 32
+    return words
 
-    The memos are content-keyed pure functions of ``(root_seed, day,
-    bs_id)`` and only pay off when the same unit is generated *again* in
-    this process — repeated benchmark passes, regenerated campaigns.
-    A one-pass campaign never revisits a unit, so every entry is dead
-    weight (~1 KB/unit, up to the 2^16 cap): long-lived campaign workers
-    call this between shards to keep resident memory bounded by the
-    shard, not by the number of units ever generated.  Clearing is
-    always safe — it costs recomputation, never determinism.
+
+def _seed_prefix(root_seed: int, day: int) -> tuple[list[int], list[int]]:
+    """Entropy pool of ``unit_seed(root_seed, day, ·)`` before the BS word.
+
+    Replays ``SeedSequence.mix_entropy`` in Python integers over every
+    entropy word but the last, which is the BS id.  The hash constants
+    advance independently of the data, so the four constants the last
+    word meets are returned too: ``(pool, consts)``, ``consts`` being
+    the constant before each of those four hash steps.
     """
-    # repro-lint: disable-next-line=P204 -- content-keyed per-process memo; clearing only costs recomputation
-    _SEED_CACHE.clear()
-    # repro-lint: disable-next-line=P204 -- content-keyed per-process memo; clearing only costs recomputation
-    _SFC_STATE_CACHE.clear()
+    run = _uint32_words(int(root_seed))
+    run += [0] * (_SS_POOL - len(run))
+    entropy = (
+        run + _uint32_words(_key_word(UNIT_STREAM)) + _uint32_words(int(day))
+    )
+    const = _SS_INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = (const * _SS_MULT_A) & _M32
+        value = (value * const) & _M32
+        return value ^ (value >> _SS_XSHIFT)
+
+    def mix(x: int, y: int) -> int:
+        result = (_SS_MIX_L * x - _SS_MIX_R * y) & _M32
+        return result ^ (result >> _SS_XSHIFT)
+
+    pool = [hashmix(word) for word in entropy[:_SS_POOL]]
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_SS_POOL:]:
+        for dst in range(_SS_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    consts = []
+    for _ in range(_SS_POOL):
+        consts.append(const)
+        const = (const * _SS_MULT_A) & _M32
+    return pool, consts
 
 
-def _unit_generator(
-    root_seed: int, day: int, bs_id: int
-) -> np.random.Generator:
-    """Process-shared ``Generator`` rewound to one unit's initial state.
+def unit_states(
+    root_seed: int, day: int, bs_ids: Sequence[int] | np.ndarray
+) -> np.ndarray:
+    """Initial SFC64 states of many units of one (root seed, day).
 
-    Draw-for-draw identical to a fresh :func:`unit_rng` generator — SFC64
-    output is fully determined by its state — but skips the per-unit
-    ``Generator``/``SFC64`` construction, which is measurable at one unit
-    per (day, BS).  The returned generator is shared: it is only valid
-    until the next ``_unit_generator`` call in this process, so callers
-    must finish the unit's draws before starting the next unit (the
-    canonical per-unit draw order already guarantees this).
+    Row ``i`` equals ``np.random.SFC64(unit_seed(root_seed, day,
+    bs_ids[i])).state["state"]["state"]`` bit for bit, at a fraction of
+    the per-unit cost: the entropy pool of the shared (root, stream, day)
+    prefix is mixed once, and only the final ``bs_id`` word, the
+    ``generate_state(3, uint64)`` hash and SFC64's warm-up rounds run
+    vectorized over the block.  Returns an ``(n, 4)`` uint64 array; BS
+    ids must fit one uint32 word (the ``bs_id`` column is int32).
     """
-    shared = _WORKER_STATE.get("unit_gen")
-    if shared is None:
-        bitgen = np.random.SFC64(0)
-        shared = (np.random.Generator(bitgen), bitgen)
-        # repro-lint: disable-next-line=P204 -- per-process generator reuse; state is rewound before every use
-        _WORKER_STATE["unit_gen"] = shared
-    gen, bitgen = shared
-    key = (int(root_seed), int(day), int(bs_id))
-    state = _SFC_STATE_CACHE.get(key)
-    if state is None:
-        if len(_SFC_STATE_CACHE) >= 1 << 16:
-            # repro-lint: disable-next-line=P204 -- content-keyed per-process memo; value is a pure function of the key
-            _SFC_STATE_CACHE.clear()
-        state = np.random.SFC64(unit_seed(root_seed, day, bs_id)).state
-        # repro-lint: disable-next-line=P204 -- content-keyed per-process memo; value is a pure function of the key
-        _SFC_STATE_CACHE[key] = state
-    bitgen.state = state
-    return gen
+    pool, consts = _seed_prefix(root_seed, day)
+    bs = np.asarray(bs_ids, dtype=np.int64)
+    if bs.size and (bs.min() < 0 or bs.max() > _M32):
+        raise GeneratorError("unit BS ids must lie in [0, 2**32)")
+    word = bs.astype(np.uint32)
+    shift32 = np.uint32(_SS_XSHIFT)
+    mixed = []
+    for dst in range(_SS_POOL):
+        hashed = word ^ np.uint32(consts[dst])
+        hashed *= np.uint32((consts[dst] * _SS_MULT_A) & _M32)
+        hashed ^= hashed >> shift32
+        result = np.uint32((_SS_MIX_L * pool[dst]) & _M32) - (
+            np.uint32(_SS_MIX_R) * hashed
+        )
+        result ^= result >> shift32
+        mixed.append(result)
+    # generate_state(3, uint64): six uint32 words cycling over the pool,
+    # paired little-endian into the three SFC64 seed words.
+    const = _SS_INIT_B
+    halves = []
+    for i in range(6):
+        value = mixed[i % _SS_POOL] ^ np.uint32(const)
+        const = (const * _SS_MULT_B) & _M32
+        value *= np.uint32(const)
+        value ^= value >> shift32
+        halves.append(value.astype(np.uint64))
+    high = np.uint64(32)
+    s0 = halves[0] | (halves[1] << high)
+    s1 = halves[2] | (halves[3] << high)
+    s2 = halves[4] | (halves[5] << high)
+    s3 = np.ones_like(s0)
+    one, r11, l3 = np.uint64(1), np.uint64(11), np.uint64(3)
+    l24, r40 = np.uint64(24), np.uint64(40)
+    for _ in range(_SFC_WARMUP):
+        tmp = s0 + s1 + s3
+        s3 += one
+        s0 = s1 ^ (s1 >> r11)
+        s1 = s2 + (s2 << l3)
+        s2 = ((s2 << l24) | (s2 >> r40)) + tmp
+    return np.stack([s0, s1, s2, s3], axis=1)
 
 
 def _ndtri(p: np.ndarray) -> np.ndarray:
@@ -542,20 +604,36 @@ def _worker_arena() -> SessionArena:
     return arena
 
 
-def _uniform_buffer(filled: int, extra: int) -> np.ndarray:
-    """Grow-preserving per-process uniform buffer for ``filled + extra``."""
+def _uniform_buffer(n: int) -> np.ndarray:
+    """Per-process float32 buffer of at least ``n`` uniforms.
+
+    Grows to the next power of two (at least ``2**17``), so blocks of
+    slowly rising size reuse one buffer instead of regrowing it.
+    """
     buf = _WORKER_STATE.get("ubuf")
-    needed = filled + extra
-    if buf is None:
-        buf = np.empty(max(needed, 1 << 17), dtype=np.float32)
+    if buf is None or buf.shape[0] < n:
+        size = max(1 << 17, 1 << (n - 1).bit_length())
+        buf = np.empty(size, dtype=np.float32)
         # repro-lint: disable-next-line=P204 -- per-process buffer reuse; filled per block before the kernel reads it
         _WORKER_STATE["ubuf"] = buf
-    elif buf.shape[0] < needed:
-        grown = np.empty(max(needed, buf.shape[0] * 2), dtype=np.float32)
-        grown[:filled] = buf[:filled]
-        # repro-lint: disable-next-line=P204 -- per-process buffer reuse; filled per block before the kernel reads it
-        _WORKER_STATE["ubuf"] = buf = grown
     return buf
+
+
+def _shared_generator() -> tuple[np.random.Generator, np.random.SFC64]:
+    """This process's one SFC64 ``Generator``, rewound per unit.
+
+    SFC64 output is fully determined by its state, so setting
+    ``bitgen.state`` to a unit's :func:`unit_states` row makes the shared
+    generator draw exactly what a fresh :func:`unit_rng` would, without
+    building a ``Generator``/``SFC64`` per unit.
+    """
+    shared = _WORKER_STATE.get("unit_gen")
+    if shared is None:
+        bitgen = np.random.SFC64(0)
+        shared = (np.random.Generator(bitgen), bitgen)
+        # repro-lint: disable-next-line=P204 -- per-process generator reuse; state is rewound before every use
+        _WORKER_STATE["unit_gen"] = shared
+    return shared
 
 
 def _exact_fix(
@@ -657,15 +735,21 @@ def _generate_block(
     item: tuple[
         BatchSampler,
         list[tuple[int, int, ArrivalModel]],
-        int,
+        np.ndarray,
         SessionArena | None,
     ],
 ) -> tuple[np.ndarray, ...] | tuple[int, int] | None:
     """Executor work function: synthesize one block of (day, BS) units.
 
     Each unit draws from its own seed stream in the canonical order —
-    arrival counts first, then one float32 uniform per session — and the
-    fused kernel then resolves the whole block in one pass.
+    its peak-minute normals and night-minute uniforms first, then one
+    float32 uniform per session.  ``states`` holds each unit's initial
+    SFC64 state (:func:`unit_states`); the one shared generator is
+    rewound to it, the raw arrival draws of the whole block become
+    counts in one :func:`~repro.core.arrivals.arrival_counts` call, and
+    each unit's post-arrival state is then restored to draw its session
+    uniforms.  The fused kernel finally resolves the whole block in one
+    pass.
 
     With a shared ``arena`` (serial path), the block appends to it in
     place and returns its ``(lo, hi)`` row range — zero copies.  Without
@@ -674,43 +758,65 @@ def _generate_block(
     may batch several blocks per transfer, so views into the reused arena
     would alias each other.  Returns ``None`` for an all-empty block.
     """
-    sampler, units, root_seed, arena = item
+    sampler, units, states, arena = item
+    gen, bitgen = _shared_generator()
+    n_units = len(units)
+    peak_z = np.empty((n_units, N_PEAK_MINUTES))
+    night_q = np.empty((n_units, MINUTES_PER_DAY - N_PEAK_MINUTES))
+    resume = []
+    for i in range(n_units):
+        bitgen.state = {
+            "bit_generator": "SFC64",
+            "state": {"state": states[i]},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.standard_normal(out=peak_z[i])
+        gen.random(out=night_q[i])
+        resume.append(bitgen.state)
+    counts = arrival_counts(
+        [arrival for _, _, arrival in units], peak_z, night_q,
+        peak_minute_mask(),
+    )
+    per_unit = counts.sum(axis=1)
+    total = int(per_unit.sum())
+    if total == 0:
+        return None
     shared = arena is not None
     if not shared:
         arena = _worker_arena()
         arena.reset()
     block_lo = len(arena)
+    ubuf = _uniform_buffer(total)
     filled = 0
-    for day, bs_id, arrival in units:
-        rng = _unit_generator(root_seed, day, bs_id)
-        counts = arrival.sample_day(rng)
-        n = int(counts.sum())
-        if n == 0:
-            continue
-        rows = arena.reserve(n)
-        ubuf = _uniform_buffer(filled, n)
-        rng.random(out=ubuf[filled : filled + n], dtype=np.float32)
-        arena.column("bs_id")[rows] = bs_id
-        arena.column("day")[rows] = day
-        arena.column("start_minute")[rows] = np.repeat(_MINUTE_INDEX, counts)
+    for i in np.flatnonzero(per_unit):
+        n = int(per_unit[i])
+        day, bs_id, _ = units[i]
+        # Reserving unit by unit grows the arena in the same steps as
+        # the units' sizes, not in one block-sized jump.
+        unit_rows = arena.reserve(n)
+        bitgen.state = resume[i]
+        gen.random(out=ubuf[filled : filled + n], dtype=np.float32)
+        arena.column("bs_id")[unit_rows] = bs_id
+        arena.column("day")[unit_rows] = day
         filled += n
-    block_hi = len(arena)
-    if block_hi == block_lo:
-        return None
+    rows = slice(block_lo, len(arena))
+    arena.column("start_minute")[rows] = np.repeat(
+        np.tile(_MINUTE_INDEX, n_units), counts.ravel()
+    )
     _fused_body_kernel(
         fused_tables(sampler),
-        _WORKER_STATE["ubuf"][:filled],
-        arena.column("start_minute")[block_lo:block_hi],
-        arena.column("service_idx")[block_lo:block_hi],
-        arena.column("duration_s")[block_lo:block_hi],
-        arena.column("volume_mb")[block_lo:block_hi],
-        arena.column("truncated")[block_lo:block_hi],
+        ubuf[:total],
+        arena.column("start_minute")[rows],
+        arena.column("service_idx")[rows],
+        arena.column("duration_s")[rows],
+        arena.column("volume_mb")[rows],
+        arena.column("truncated")[rows],
     )
     if shared:
-        return (block_lo, block_hi)
+        return (rows.start, rows.stop)
     return tuple(
-        np.array(arena.column(name)[block_lo:block_hi])
-        for name in SessionTable.COLUMNS
+        np.array(arena.column(name)[rows]) for name in SessionTable.COLUMNS
     )
 
 
@@ -792,6 +898,27 @@ class TrafficGenerator:
             self._sampler = BatchSampler.from_models(self.mix, self.bank)
         return self._sampler
 
+    def restricted(self, bs_ids: Iterable[int]) -> "TrafficGenerator":
+        """Sub-generator over some of this generator's BSs.
+
+        It holds only those BSs' arrival models and shares this
+        generator's mix, bank, already-built :class:`BatchSampler` and
+        planning expectations, so it generates exactly their units of
+        this generator's campaigns without flattening the models again —
+        the campaign driver ships one per shard.
+        """
+        bs_ids = list(bs_ids)
+        sub = TrafficGenerator(
+            {bs_id: self.arrival_models[bs_id] for bs_id in bs_ids},
+            self.mix,
+            self.bank,
+        )
+        sub._sampler = self.sampler()
+        sub._expected_sessions = {
+            bs_id: self.expected_unit_sessions(bs_id) for bs_id in bs_ids
+        }
+        return sub
+
     # ------------------------------------------------------------------
     # Per-unit generation
     # ------------------------------------------------------------------
@@ -864,12 +991,12 @@ class TrafficGenerator:
             model = self.arrival_models[bs_id]
         except KeyError:
             raise GeneratorError(f"no arrival model for BS {bs_id}") from None
-        n_peak = int(peak_minute_mask().sum())
         night_mean = model.night.mean()
         if not np.isfinite(night_mean):
             night_mean = model.night_scale * 4.0
         expected = (
-            n_peak * model.peak_mu + (MINUTES_PER_DAY - n_peak) * night_mean
+            N_PEAK_MINUTES * model.peak_mu
+            + (MINUTES_PER_DAY - N_PEAK_MINUTES) * night_mean
         )
         self._expected_sessions[bs_id] = expected
         return expected
@@ -941,19 +1068,34 @@ class TrafficGenerator:
     ) -> tuple[int, int]:
         """Synthesize one chunk into ``arena``; returns its row range.
 
+        The units' initial seed states are derived up front, one
+        :func:`unit_states` vector per day, and each block gets its rows.
         Serial executors append block by block straight into the shared
-        arena (zero copies); parallel executors receive copy-out blocks
+        arena (zero copies, :data:`SERIAL_BLOCK_UNITS` per block);
+        parallel executors receive copy-out blocks of :data:`BLOCK_UNITS`
         from the workers' reusable arenas and the parent splices them into
         the chunk arena in input order — byte-identical either way.
         """
         shared = isinstance(executor, SerialExecutor)
+        states = np.empty((len(units), 4), dtype=np.uint64)
+        by_day: dict[int, list[int]] = {}
+        for i, (day, _) in enumerate(units):
+            by_day.setdefault(day, []).append(i)
+        for day, rows in by_day.items():
+            states[rows] = unit_states(
+                root_seed, day, [units[i][1] for i in rows]
+            )
+        step = SERIAL_BLOCK_UNITS if shared else BLOCK_UNITS
         items = []
-        for lo in range(0, len(units), BLOCK_UNITS):
+        for lo in range(0, len(units), step):
             block = [
                 (day, bs_id, self.arrival_models[bs_id])
-                for day, bs_id in units[lo : lo + BLOCK_UNITS]
+                for day, bs_id in units[lo : lo + step]
             ]
-            items.append((sampler, block, root_seed, arena if shared else None))
+            items.append((
+                sampler, block, states[lo : lo + step],
+                arena if shared else None,
+            ))
         chunk_lo = len(arena)
         results = executor.map(_generate_block, items)
         if not shared:

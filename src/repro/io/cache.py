@@ -22,8 +22,9 @@ import itertools
 import json
 import os
 import threading
+from collections.abc import Mapping
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -51,16 +52,32 @@ class CacheError(ValueError):
 class Described:
     """A value canonicalized once by :func:`describe`, for reuse in many keys.
 
-    :func:`describe` returns the wrapped description as is, so a large
-    part shared by many content keys (a model bank, say) is walked once
-    rather than once per key.  Wrapping never changes a key: the stored
-    value is exactly what describing the original would produce.
+    Only the description's canonical JSON text is kept:
+    :func:`content_key` splices it straight into the key payload, so a
+    large part shared by many content keys (a model bank, say) is walked
+    and serialized once rather than once per key.  Wrapping never changes
+    a key: the text is exactly what describing and serializing the
+    original would produce.
     """
 
-    __slots__ = ("value",)
+    __slots__ = ("text",)
 
     def __init__(self, value: Any):
-        self.value = describe(value)
+        self.text = _canonical_json(describe(value))
+
+
+#: Encoder of canonical key text (``json.dumps`` would build one per call).
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _canonical_json(described: Any) -> str:
+    """Sorted-key, compact JSON text of a described value."""
+    return _ENCODER.encode(described)
+
+
+#: Exact types :func:`describe` returns as they are (checked first: the
+#: values of a large configuration are mostly these).
+_PLAIN = frozenset({type(None), bool, int, float, str})
 
 
 def describe(value: Any) -> Any:
@@ -72,8 +89,10 @@ def describe(value: Any) -> Any:
     content keys from configuration objects without each of them having
     to implement a serialization protocol.
     """
+    if type(value) in _PLAIN:
+        return value
     if isinstance(value, Described):
-        return value.value
+        return json.loads(value.text)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         described = {
             field.name: describe(getattr(value, field.name))
@@ -105,9 +124,28 @@ def content_key(parts: Mapping[str, Any]) -> str:
     sorted keys and hashed with SHA-256; the first 20 hex characters are
     plenty against accidental collisions.
     """
-    payload = describe(dict(parts, cache_format=CACHE_FORMAT_VERSION))
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    payload = dict(parts, cache_format=CACHE_FORMAT_VERSION)
+    text = _key_text(payload)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:20]
+
+
+def _key_text(value: Any) -> str:
+    """``_canonical_json(describe(value))``, splicing in described texts.
+
+    Mappings are written member by member in sorted key order — the order
+    ``json.dumps(sort_keys=True)`` gives their string keys, so ``"10"``
+    precedes ``"9"`` — and every :class:`Described` member contributes its
+    stored text instead of being serialized again.
+    """
+    if isinstance(value, Described):
+        return value.text
+    if isinstance(value, Mapping) and not dataclasses.is_dataclass(value):
+        members = {str(k): v for k, v in value.items()}
+        return "{" + ",".join(
+            f"{json.dumps(name)}:{_key_text(members[name])}"
+            for name in sorted(members)
+        ) + "}"
+    return _canonical_json(describe(value))
 
 
 def default_cache_root() -> Path:

@@ -87,10 +87,11 @@ def write_trace(
     concatenated rows, never on how they were split.  Returns the number
     of rows written.  Services are stored by name, so traces stay
     readable and robust to catalog reordering.  Rows are rendered and
-    flushed in chunks of ``chunk_rows``: each chunk's columns are
-    formatted vectorized (multi-million-session campaigns export in
-    seconds) but only one chunk of formatted strings is ever held in
-    memory, so export memory stays bounded regardless of campaign size.
+    flushed in chunks of ``chunk_rows``, and only one chunk of formatted
+    strings is ever held in memory, so export memory stays bounded
+    regardless of campaign size.  Formatting runs at about 75k rows/s
+    (3.29M rows took 43.5 s on a 2-vCPU host), so it, not generation,
+    dominates ``generate --trace``.
     """
     if chunk_rows < 1:
         raise TraceError(f"chunk_rows must be >= 1, got {chunk_rows}")

@@ -8,8 +8,11 @@ fully materialized campaign.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+import repro.campaign.driver as driver
 from repro.campaign import (
     CampaignAggregate,
     CampaignError,
@@ -22,10 +25,10 @@ from repro.campaign.fidelity import (
     measure_aggregate,
 )
 from repro.core.arrivals import ArrivalModel
-from repro.core.generator import TrafficGenerator
+from repro.core.generator import BatchSampler, TrafficGenerator
 from repro.core.service_mix import ServiceMix
 from repro.io.cache import ArtifactCache
-from repro.pipeline.executors import ParallelExecutor
+from repro.pipeline.executors import ParallelExecutor, SerialExecutor
 
 from ..conftest import child_peak_rss
 
@@ -155,6 +158,60 @@ class TestByteIdentity:
     def test_invalid_chunk_budget_rejected(self, generator):
         with pytest.raises(CampaignError):
             run_campaign(generator, DAYS, SEED, chunk_sessions=0)
+
+
+#: File the counting wrappers below append to, set per test; forked
+#: executor workers inherit it, so their calls count too.
+CALL_LOG: dict[str, Path] = {}
+
+_REAL_FROM_MODELS = BatchSampler.from_models.__func__
+_REAL_RUN_SHARD = driver._run_shard
+
+
+def _log_call(name: str) -> None:
+    with open(CALL_LOG["path"], "a", encoding="utf-8") as log:
+        log.write(name + "\n")
+
+
+def _counting_from_models(cls, mix, bank):
+    _log_call("from_models")
+    return _REAL_FROM_MODELS(cls, mix, bank)
+
+
+def _counting_run_shard(item):
+    _log_call("shard")
+    return _REAL_RUN_SHARD(item)
+
+
+class TestOneSamplerPerRun:
+    """The run flattens its models once; shards carry the built sampler."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sampler_built_at_most_once(
+        self, bank, monkeypatch, tmp_path, jobs
+    ):
+        log = tmp_path / "calls.log"
+        log.touch()
+        monkeypatch.setitem(CALL_LOG, "path", log)
+        monkeypatch.setattr(
+            BatchSampler, "from_models", classmethod(_counting_from_models)
+        )
+        monkeypatch.setattr(driver, "_run_shard", _counting_run_shard)
+        arrival = ArrivalModel(peak_mu=0.5, peak_sigma=0.05, night_scale=0.1)
+        mix = ServiceMix.from_table1().restricted_to(bank.services())
+        fresh = TrafficGenerator(
+            {bs: arrival for bs in range(12)}, mix, bank
+        )
+        executor = SerialExecutor() if jobs == 1 else ParallelExecutor(jobs)
+        with executor:
+            result = run_campaign(
+                fresh, 2, SEED, shard_bs=2, executor=executor,
+                hll_precision=P,
+            )
+        calls = log.read_text(encoding="utf-8").split()
+        assert result.n_shards == 12
+        assert calls.count("shard") == 12  # the wrappers reached the workers
+        assert calls.count("from_models") <= 1
 
 
 class TestBoundedMemory:

@@ -25,6 +25,7 @@ from repro.campaign.sketches import DEFAULT_HLL_SEED, SKETCH_FORMAT_VERSION
 from repro.core.arrivals import ArrivalModel
 from repro.core.generator import TrafficGenerator
 from repro.core.service_mix import ServiceMix
+from repro.core.model_bank import ModelBank
 from repro.io.cache import ArtifactCache, content_key
 from repro.io.params import save_release
 
@@ -93,11 +94,19 @@ def baseline_digest(generator):
 
 
 def checkpoint_paths(cache_root) -> list:
-    """Every per-shard checkpoint currently in the cache, sorted."""
+    """Every per-shard checkpoint currently in the cache, sorted.
+
+    A store in flight writes ``.tmp-…`` first and renames it into place;
+    that half-written file is not a checkpoint, and pathlib's ``*``
+    matches dot-files, so it is excluded by name.
+    """
     shard_dir = cache_root / CHECKPOINT_KIND
     if not shard_dir.is_dir():
         return []
-    return sorted(shard_dir.glob(f"*{CHECKPOINT_SUFFIX}"))
+    return sorted(
+        path for path in shard_dir.glob(f"*{CHECKPOINT_SUFFIX}")
+        if not path.name.startswith(".")
+    )
 
 
 def resume(generator, cache: ArtifactCache):
@@ -315,3 +324,66 @@ class TestCheckpointKeysStable:
         }
         assert len(expected) == 2 * -(-N_BS // shard_bs)
         assert {p.name for p in checkpoint_paths(tmp_path)} == expected
+
+
+#: Two services written out literally, so the keys pinned below depend on
+#: no fit.
+LITERAL_BANK = {
+    "Facebook": {
+        "service": "Facebook",
+        "volume": {
+            "mu": 0.5,
+            "sigma": 0.625,
+            "peaks": [
+                {"k": 0.0625, "mu": -0.25, "sigma": 0.03125,
+                 "u_lo": -0.375, "u_hi": -0.125},
+            ],
+        },
+        "duration": {"alpha": 0.25, "beta": 0.5, "r2": 0.875},
+    },
+    "Youtube": {
+        "service": "Youtube",
+        "volume": {"mu": 1.25, "sigma": 0.75},
+        "duration": {"alpha": 0.5, "beta": 0.625, "r2": 0.9375},
+    },
+}
+
+
+class TestCheckpointKeysPinned:
+    """Shard keys as literal hex strings, computed before key splicing.
+
+    :class:`TestCheckpointKeysStable` derives its reference through
+    ``content_key``, so a change to ``content_key`` itself would move both
+    sides at once.  These pins do not move: checkpoints written by any
+    earlier run of this campaign must keep resuming.  The third shard
+    holds BSs 8-11, where the string order of the ``arrivals`` keys
+    (``"10"``, ``"11"``, ``"8"``, ``"9"``) differs from the numeric order.
+    """
+
+    PINNED = {
+        "0bafc8c36ab087ba6ce6",
+        "a3fb127b9d9cbae9d206",
+        "e7757838aff71a91a857",
+    }
+
+    def test_keys_of_a_literal_campaign(self, tmp_path):
+        bank = ModelBank.from_json(json.dumps(LITERAL_BANK))
+        mix = ServiceMix({"Facebook": 0.75, "Youtube": 0.25})
+        generator = TrafficGenerator(
+            {
+                bs: ArrivalModel(
+                    peak_mu=0.25 + bs / 8, peak_sigma=0.125,
+                    night_scale=0.0625 * (1 + bs % 3),
+                )
+                for bs in range(12)
+            },
+            mix,
+            bank,
+        )
+        run_campaign(
+            generator, 1, SEED, shard_bs=4, cache=ArtifactCache(tmp_path),
+            hll_precision=PRECISION,
+        )
+        assert {p.name for p in checkpoint_paths(tmp_path)} == {
+            key + CHECKPOINT_SUFFIX for key in self.PINNED
+        }

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.arrivals import ArrivalModel
+from repro.core.arrivals import ArrivalModel, arrival_counts
 from repro.core.generator import (
     DEFAULT_CHUNK_SESSIONS,
     GeneratorError,
@@ -15,6 +15,7 @@ from repro.core.generator import (
     generate_campaign_reference,
     unit_rng,
     unit_seed,
+    unit_states,
 )
 from repro.core.service_mix import ServiceMix
 from repro.dataset.circadian import peak_minute_mask
@@ -159,6 +160,153 @@ class TestSeedStreams:
             tiny_generator.generate_campaign(
                 1, 5, executor=SerialExecutor(), jobs=2
             )
+
+
+class TestBulkSeeding:
+    """``unit_states`` is the bulk form of ``SFC64(unit_seed(...))``.
+
+    The engine never builds a ``SeedSequence`` per unit: it replays
+    NumPy's seed hashing vectorized over BS ids.  Equality with the
+    reference is what keeps campaigns bit-identical, so a NumPy change to
+    ``SeedSequence`` or SFC64 seeding fails here, not in moved digests.
+    """
+
+    EDGE_ROOTS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**130)
+    EDGE_DAYS = (0, 1, 2**15 - 1)
+    EDGE_BS = (0, 1, 8, 9, 10, 11, 2**31 - 1)
+
+    @staticmethod
+    def reference(root_seed: int, day: int, bs_id: int) -> np.ndarray:
+        bitgen = np.random.SFC64(unit_seed(root_seed, day, bs_id))
+        return bitgen.state["state"]["state"]
+
+    def assert_matches(self, root_seed, day, bs_ids) -> None:
+        states = unit_states(root_seed, day, bs_ids)
+        assert states.shape == (len(bs_ids), 4)
+        assert states.dtype == np.uint64
+        for row, bs_id in zip(states, bs_ids):
+            assert np.array_equal(
+                row, self.reference(root_seed, day, int(bs_id))
+            ), (root_seed, day, bs_id)
+
+    def test_matches_unit_seed_on_random_keys(self):
+        rng = np.random.default_rng(20)
+        checked = 0
+        for _ in range(40):
+            root_seed = int(rng.integers(0, 2**63)) >> int(rng.integers(0, 63))
+            day = int(rng.integers(0, 2**15))
+            bs_ids = rng.integers(0, 2**31, 32)
+            self.assert_matches(root_seed, day, bs_ids)
+            checked += len(bs_ids)
+        assert checked >= 1000
+
+    def test_matches_unit_seed_on_edge_keys(self):
+        for root_seed in self.EDGE_ROOTS:
+            for day in self.EDGE_DAYS:
+                self.assert_matches(root_seed, day, self.EDGE_BS)
+
+    def test_empty_block(self):
+        assert unit_states(3, 0, []).shape == (0, 4)
+
+    @pytest.mark.parametrize("bs_id", [-1, 2**32])
+    def test_bs_id_must_fit_one_word(self, bs_id):
+        with pytest.raises(GeneratorError):
+            unit_states(3, 0, [0, bs_id])
+
+
+class TestBlockArrivals:
+    """A block's arrival counts equal per-unit ``sample_day`` draws."""
+
+    #: Models exercising the transform's edges: Gaussian draws far below
+    #: zero (clipped), a heavy Pareto night (shape near 1, so the odd
+    #: minute draws hundreds of sessions off a 0.05 scale), and a unit so
+    #: quiet that it almost always draws no session at all.
+    MODELS = {
+        "clipped": ArrivalModel(peak_mu=0.3, peak_sigma=1.0, night_scale=0.2),
+        "tail": ArrivalModel(
+            peak_mu=0.2, peak_sigma=0.02, night_scale=0.05, night_shape=1.1
+        ),
+        "silent": ArrivalModel(
+            peak_mu=1e-3, peak_sigma=1e-4, night_scale=1e-4
+        ),
+        "plain": ArrivalModel(peak_mu=2.0, peak_sigma=0.2, night_scale=0.3),
+    }
+
+    @staticmethod
+    def distribution_draws(model, rng) -> np.ndarray:
+        """The arrival counts drawn through the distributions themselves."""
+        mask = peak_minute_mask()
+        counts = np.empty(mask.size)
+        counts[mask] = model.peak.sample(rng, int(mask.sum()))
+        counts[~mask] = model.night.sample(rng, int((~mask).sum()))
+        np.rint(counts, out=counts)
+        np.maximum(counts, 0.0, out=counts)
+        return counts.astype(np.int64)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_sample_day_equals_distribution_draws(self, name):
+        model = self.MODELS[name]
+        for seed in range(50):
+            assert np.array_equal(
+                model.sample_day(unit_rng(seed, 0, 0)),
+                self.distribution_draws(model, unit_rng(seed, 0, 0)),
+            )
+
+    def test_extreme_draws_match_the_distributions(self):
+        """Counts at the float limits of the draws, against the scalar
+        Gaussian affine map and ``Pareto.ppf`` row by row."""
+        z = np.array([-1e3, -40.0, -0.5, 0.0, 0.4999, 40.0])
+        q = np.array([0.0, 0.5, 1 - 2.0**-20, 1 - 2.0**-40, 1 - 2.0**-53])
+        models = [
+            ArrivalModel(peak_mu=0.3, peak_sigma=1.0, night_scale=1e-4),
+            ArrivalModel(
+                peak_mu=50.0, peak_sigma=5.0, night_scale=1e3, night_shape=1.2
+            ),
+            ArrivalModel(peak_mu=1e-3, peak_sigma=1e-4, night_scale=1e-4),
+        ]
+        mask = peak_minute_mask()
+        n_peak, n_night = int(mask.sum()), int((~mask).sum())
+        peak_z = np.resize(z, (len(models), n_peak))
+        night_q = np.resize(q, (len(models), n_night))
+        counts = arrival_counts(models, peak_z, night_q, mask)
+        for row, model, zs, qs in zip(counts, models, peak_z, night_q):
+            expected = np.empty(mask.size)
+            expected[mask] = model.peak_mu + model.peak_sigma * zs
+            expected[~mask] = model.night.ppf(qs)
+            expected = np.maximum(np.rint(expected), 0.0).astype(np.int64)
+            assert np.array_equal(row, expected)
+        assert counts.max() > 2**40  # the Pareto tail at q = 1 - 2**-53
+
+    def test_block_spanning_two_days_equals_per_unit_days(self, bank):
+        names = sorted(self.MODELS)
+        models = {bs: self.MODELS[names[bs % len(names)]] for bs in range(24)}
+        mix = ServiceMix.from_table1().restricted_to(bank.services())
+        generator = TrafficGenerator(models, mix, bank)
+        # Day 0's last twelve BSs, then all of day 1: the blocks straddle
+        # the day boundary and mix every edge model.
+        units = [(0, bs) for bs in range(12, 24)] + [
+            (1, bs) for bs in range(24)
+        ]
+        block = generator.generate_units(
+            units, 29, arena=SessionArena(capacity=1024)
+        )
+        per_unit = [
+            generator.generate_bs_day(bs, day, unit_rng(29, day, bs))
+            for day, bs in units
+        ]
+        assert _tables_identical(
+            block, SessionTable.concatenate([d.table for d in per_unit])
+        )
+        busiest = {
+            name: [
+                int(d.minute_counts.max())
+                for (day, bs), d in zip(units, per_unit)
+                if names[bs % len(names)] == name
+            ]
+            for name in names
+        }
+        assert 0 in busiest["silent"]
+        assert max(busiest["tail"]) > 100
 
 
 class TestChunking:

@@ -72,6 +72,19 @@ class TestContentKey:
             {"bank": part, "x": 1}
         )
 
+    def test_key_of_a_mixed_config_is_pinned(self):
+        """A literal key: ``content_key`` itself must not drift."""
+        config = {
+            "cfg": _Cfg(n=2, label="a"),
+            "nested": {"b": {"10": 1.5, "9": [True, None]}, "a": "x"},
+            "scalar": np.float32(0.1),
+            "array": np.arange(4, dtype=np.int16),
+            7: (0.25, "y"),
+        }
+        assert content_key(config) == "97317024d99dedd085ad"
+        wrapped = dict(config, nested=Described(config["nested"]))
+        assert content_key(wrapped) == content_key(config)
+
     def test_simulation_config_keys_differ_by_field(self):
         base = content_key({"sim": SimulationConfig(n_days=1)})
         other = content_key({"sim": SimulationConfig(n_days=2)})
