@@ -23,12 +23,6 @@ from .metrics import (
 from .normalization import zero_mean, zero_mean_all
 from .replication import MetricSummary, ReplicationSummary, replicate
 from .sed import sed
-from .throughput import (
-    mean_throughput_mbps,
-    measured_throughput_pdf,
-    model_throughput_pdf,
-    throughput_pdf_from_samples,
-)
 
 _LAZY = {
     "InvarianceReport": ("comparisons", "InvarianceReport"),
@@ -87,10 +81,6 @@ __all__ = [
     "silhouette_profile",
     "silhouette_score",
     "top_k_session_fraction",
-    "mean_throughput_mbps",
-    "measured_throughput_pdf",
-    "model_throughput_pdf",
-    "throughput_pdf_from_samples",
     "validate_campaign",
     "zero_mean",
     "zero_mean_all",

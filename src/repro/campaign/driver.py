@@ -344,6 +344,8 @@ def run_campaign(
     if trace_id is None:
         trace_id = getattr(obs, "trace_id", None) or mint_trace_id(root_seed)
 
+    if cache is not None:
+        cache.sweep(CHECKPOINT_KIND)
     keys = (
         _shard_keys(generator, shards, root_seed, hll_precision, hll_seed)
         if cache is not None

@@ -19,7 +19,6 @@ from .generator import (
     generate_campaign_reference,
 )
 from .model_bank import ModelBank
-from .packet_bridge import PacketSchedule, packetize_service_session, packetize_session
 from .residuals import ResidualPeak, find_residual_peaks
 from .service_mix import ServiceMix
 from .service_model import SessionLevelModel, fit_service_model
@@ -36,7 +35,6 @@ __all__ = [
     "LogNormal10",
     "LogNormalMixture",
     "ModelBank",
-    "PacketSchedule",
     "Pareto",
     "PowerLawModel",
     "ResidualPeak",
@@ -58,6 +56,4 @@ __all__ = [
     "fit_service_model",
     "fit_volume_model",
     "generate_campaign_reference",
-    "packetize_service_session",
-    "packetize_session",
 ]

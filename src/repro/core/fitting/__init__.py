@@ -1,42 +1,12 @@
-"""In-house numerical fitting substrates (LM, Savitzky-Golay, Gaussian).
-
-The bootstrap helpers consume the duration model (which itself builds on
-the LM solver here), so they are exposed lazily to keep the import graph
-acyclic.
-"""
+"""In-house numerical fitting substrates (LM, Savitzky-Golay, Gaussian)."""
 
 from .gaussian_fit import fit_main_lognormal, moment_gaussian
 from .levenberg_marquardt import FitError, LMResult, fit_curve, levenberg_marquardt
 from .savitzky_golay import savgol_coefficients, savgol_filter
 
-_LAZY = {
-    "BootstrapError": ("bootstrap", "BootstrapError"),
-    "ConfidenceInterval": ("bootstrap", "ConfidenceInterval"),
-    "PowerLawBootstrap": ("bootstrap", "PowerLawBootstrap"),
-    "bootstrap_mean_volume": ("bootstrap", "bootstrap_mean_volume"),
-    "bootstrap_power_law": ("bootstrap", "bootstrap_power_law"),
-}
-
-
-def __getattr__(name: str):
-    """Lazily resolve the duration-model-dependent members (PEP 562)."""
-    if name in _LAZY:
-        import importlib
-
-        module_name, attr = _LAZY[name]
-        module = importlib.import_module(f".{module_name}", __name__)
-        return getattr(module, attr)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "BootstrapError",
-    "ConfidenceInterval",
     "FitError",
     "LMResult",
-    "PowerLawBootstrap",
-    "bootstrap_mean_volume",
-    "bootstrap_power_law",
     "fit_curve",
     "fit_main_lognormal",
     "levenberg_marquardt",

@@ -10,12 +10,6 @@ from .aggregation import (
     service_shares,
     share_variability,
 )
-from .appsessions import (
-    DEFAULT_APP_PROFILES,
-    AppSessionProfile,
-    AppSessionTable,
-    expand_app_sessions,
-)
 from .averaging import average_duration_volume, average_volume_pdf, filter_stats
 from .mobility import MobilityModel, truncate_sessions
 from .network import RAT, BaseStation, Network, NetworkConfig, Region
@@ -26,13 +20,10 @@ from .simulator import SimulationConfig, simulate
 from .streaming import CampaignAccumulator, simulate_aggregated
 
 __all__ = [
-    "DEFAULT_APP_PROFILES",
     "PROFILES",
     "RAT",
     "SERVICES",
     "SERVICE_NAMES",
-    "AppSessionProfile",
-    "AppSessionTable",
     "BaseStation",
     "CampaignAccumulator",
     "DurationVolumeCurve",
@@ -48,7 +39,6 @@ __all__ = [
     "SimulationConfig",
     "aggregate_per_bs_day",
     "average_duration_volume",
-    "expand_app_sessions",
     "average_volume_pdf",
     "filter_stats",
     "get_profile",

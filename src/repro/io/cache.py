@@ -10,7 +10,9 @@ different key and a clean miss (stale entries are simply never read).
 Layout on disk: ``<root>/<kind>/<key><suffix>``, e.g.
 ``.repro-cache/campaign/1f0c9a….npz``.  Writes go through a temporary file
 plus atomic rename, so a crashed run can never leave a truncated artifact
-behind that a later run would trust.
+behind that a later run would trust.  A writer killed before the rename
+leaves its ``.tmp-<pid>-…`` file; :meth:`ArtifactCache.sweep` removes the
+ones whose writer is gone.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ CACHE_FORMAT_VERSION = 1
 
 #: Monotonic counter making concurrent same-process writes collision-free.
 _TMP_COUNTER = itertools.count()
+
+#: Name prefix of a write in flight: ``.tmp-<pid>-<thread>-<n>-<final name>``.
+TMP_PREFIX = ".tmp-"
 
 
 class CacheError(ValueError):
@@ -153,8 +158,33 @@ def default_cache_root() -> Path:
     return Path(os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR))
 
 
+def _writer_alive(tmp_name: str) -> bool:
+    """Whether the process named in a temporary file's name may still write it.
+
+    Unparseable names count as alive, so only a file whose writer is
+    known to be gone is ever removed.
+    """
+    try:
+        pid = int(tmp_name[len(TMP_PREFIX):].split("-", 1)[0])
+    except ValueError:
+        return True
+    if pid <= 0 or os.name != "posix":
+        return True
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except OSError:  # alive, but owned by another user
+        pass
+    return True
+
+
 class ArtifactCache:
     """Directory of cached artifacts addressed by (kind, content key).
+
+    The cache root is assumed to be written from one host: :meth:`sweep`
+    judges a temporary file's writer by its pid in this host's process
+    table.
 
     With a :class:`~repro.obs.telemetry.Telemetry` attached, every probe,
     load and store increments the run's cache metrics (``cache.hit``,
@@ -176,13 +206,40 @@ class ArtifactCache:
         if self.telemetry is not None:
             self.telemetry.metrics.counter(name).inc(amount)
 
-    def path_for(self, kind: str, key: str, suffix: str) -> Path:
-        """Path an artifact of ``kind`` with content ``key`` lives at."""
+    def _directory(self, kind: str) -> Path:
+        """Directory the artifacts of ``kind`` live in."""
         if not kind or any(sep in kind for sep in "/\\"):
             raise CacheError(f"invalid artifact kind {kind!r}")
+        return self.root / kind
+
+    def path_for(self, kind: str, key: str, suffix: str) -> Path:
+        """Path an artifact of ``kind`` with content ``key`` lives at."""
+        directory = self._directory(kind)
         if not key:
             raise CacheError("empty content key")
-        return self.root / kind / f"{key}{suffix}"
+        return directory / f"{key}{suffix}"
+
+    def artifacts(self, kind: str, suffix: str) -> list[Path]:
+        """The complete artifacts of ``kind``, sorted; writes in flight excluded."""
+        return sorted(
+            path for path in self._directory(kind).glob(f"*{suffix}")
+            if not path.name.startswith(TMP_PREFIX)
+        )
+
+    def sweep(self, kind: str) -> int:
+        """Remove the temporary files of ``kind`` whose writer is gone.
+
+        A writer killed between its ``save`` and the rename never runs
+        its cleanup, so its temporary file would stay forever.  Files
+        whose writer pid is still alive on this host are kept: they may
+        be a store in flight.  Returns the number of files removed.
+        """
+        removed = 0
+        for path in self._directory(kind).glob(f"{TMP_PREFIX}*"):
+            if not _writer_alive(path.name):
+                path.unlink(missing_ok=True)
+                removed += 1
+        return removed
 
     def has(self, kind: str, key: str, suffix: str) -> bool:
         """Whether an artifact is present for this content key.
@@ -214,7 +271,7 @@ class ArtifactCache:
         final = self.path_for(kind, key, suffix)
         final.parent.mkdir(parents=True, exist_ok=True)
         tmp = final.with_name(
-            f".tmp-{os.getpid()}-{threading.get_ident()}-"
+            f"{TMP_PREFIX}{os.getpid()}-{threading.get_ident()}-"
             f"{next(_TMP_COUNTER)}-{final.name}"
         )
         try:

@@ -31,7 +31,6 @@ HOT_PATH_FILES = (
     "src/repro/core/generator.py",
     "src/repro/dataset/simulator.py",
     "src/repro/dataset/streaming.py",
-    "src/repro/dataset/appsessions.py",
 )
 
 #: Legacy ``numpy.random`` module-level draw/state functions.  Calling

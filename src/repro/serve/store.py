@@ -36,6 +36,7 @@ from typing import Any, Iterable, Mapping
 
 from ..campaign.driver import CHECKPOINT_KIND, CHECKPOINT_SUFFIX
 from ..campaign.sketches import CampaignAggregate, SketchError
+from ..io.cache import ArtifactCache
 from ..io.params import load_release
 from .schema import SubmitSchemaError, validate_submissions
 from .views import (
@@ -264,14 +265,13 @@ class AggregateStore:
         into one aggregate (merge order is irrelevant: sketch merges are
         exact) and ingests the result.  Returns ``(digest, n_shards)``.
         """
-        directory = Path(cache_root) / CHECKPOINT_KIND
-        paths = sorted(
-            p for p in directory.glob(f"*{CHECKPOINT_SUFFIX}")
-            if not p.name.startswith(".tmp-")
+        paths = ArtifactCache(cache_root).artifacts(
+            CHECKPOINT_KIND, CHECKPOINT_SUFFIX
         )
         if not paths:
             raise StoreError(
-                f"no {CHECKPOINT_KIND} checkpoints under {directory}"
+                f"no {CHECKPOINT_KIND} checkpoints under "
+                f"{Path(cache_root) / CHECKPOINT_KIND}"
             )
         total: CampaignAggregate | None = None
         trace_id: str | None = None
@@ -480,15 +480,6 @@ class AggregateStore:
                 "SELECT body FROM manifests WHERE campaign = ?", (name,)
             ).fetchone()
         return json.loads(row[0]) if row is not None else None
-
-
-def scan_checkpoint_paths(cache_root: str | Path) -> list[Path]:
-    """The spooled shard-checkpoint files under a cache root, sorted."""
-    directory = Path(cache_root) / CHECKPOINT_KIND
-    return sorted(
-        p for p in directory.glob(f"*{CHECKPOINT_SUFFIX}")
-        if not p.name.startswith(".tmp-")
-    )
 
 
 def iter_submission_lines(paths: Iterable[str | Path]) -> Iterable[str]:

@@ -26,8 +26,10 @@ from repro.core.arrivals import ArrivalModel
 from repro.core.generator import TrafficGenerator
 from repro.core.service_mix import ServiceMix
 from repro.core.model_bank import ModelBank
-from repro.io.cache import ArtifactCache, content_key
+from repro.io.cache import TMP_PREFIX, ArtifactCache, content_key
 from repro.io.params import save_release
+
+from ..conftest import reaped_pid
 
 SEED = 11
 DAYS = 1
@@ -94,19 +96,13 @@ def baseline_digest(generator):
 
 
 def checkpoint_paths(cache_root) -> list:
-    """Every per-shard checkpoint currently in the cache, sorted.
+    """Every complete per-shard checkpoint in the cache, sorted."""
+    return ArtifactCache(cache_root).artifacts(CHECKPOINT_KIND, CHECKPOINT_SUFFIX)
 
-    A store in flight writes ``.tmp-…`` first and renames it into place;
-    that half-written file is not a checkpoint, and pathlib's ``*``
-    matches dot-files, so it is excluded by name.
-    """
-    shard_dir = cache_root / CHECKPOINT_KIND
-    if not shard_dir.is_dir():
-        return []
-    return sorted(
-        path for path in shard_dir.glob(f"*{CHECKPOINT_SUFFIX}")
-        if not path.name.startswith(".")
-    )
+
+def temp_files(cache_root) -> list:
+    """The checkpoint writes in flight, or left by killed writers."""
+    return sorted((cache_root / CHECKPOINT_KIND).glob(f"{TMP_PREFIX}*"))
 
 
 def resume(generator, cache: ArtifactCache):
@@ -155,6 +151,26 @@ class TestKilledDriver:
         assert result.computed_shards == N_BS - len(survived)
         assert result.digest() == baseline_digest
         assert len(checkpoint_paths(tmp_path)) == N_BS
+        assert temp_files(tmp_path) == []  # the killed child's, if any, swept
+
+    def test_resume_sweeps_dead_writes_and_keeps_live_ones(
+        self, generator, baseline_digest, tmp_path
+    ):
+        """A live writer's temp file survives the sweep; the run resumes."""
+        cache = ArtifactCache(tmp_path)
+        assert resume(generator, cache).computed_shards == N_BS
+        victim = checkpoint_paths(tmp_path)[0]
+        half = victim.read_bytes()[:100]
+        shard_dir = tmp_path / CHECKPOINT_KIND
+        in_flight = shard_dir / f"{TMP_PREFIX}{os.getpid()}-1-0-{victim.name}"
+        debris = shard_dir / f"{TMP_PREFIX}{reaped_pid()}-1-0-{victim.name}"
+        in_flight.write_bytes(half)
+        debris.write_bytes(half)
+
+        result = resume(generator, cache)
+        assert result.resumed_shards == N_BS
+        assert result.digest() == baseline_digest
+        assert temp_files(tmp_path) == [in_flight]
 
 
 class TestCorruptCheckpoints:

@@ -67,6 +67,13 @@ def child_peak_rss(code: str) -> float:
     return float(done.stdout.split()[-1])
 
 
+def reaped_pid() -> int:
+    """The pid of a child process that has exited and been waited for."""
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()
+    return child.pid
+
+
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     """Fresh deterministic generator per test session."""

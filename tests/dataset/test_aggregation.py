@@ -89,6 +89,7 @@ class TestPooling:
         pooled = pooled_volume_pdf(campaign.for_service(service))
         averaged = average_volume_pdf(filter_stats(campaign_stats, service=service))
         assert np.allclose(pooled.density, averaged.density, atol=1e-9)
+        assert pooled.total_mass == pytest.approx(1.0)
 
     def test_pooled_pdf_empty_table(self):
         assert pooled_volume_pdf(SessionTable.empty()).is_empty

@@ -2,6 +2,7 @@
 
 import dataclasses
 import enum
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from repro.dataset.records import SessionTable
 from repro.dataset.simulator import SimulationConfig
 from repro.io.cache import (
     CACHE_DIR_ENV,
+    TMP_PREFIX,
     ArtifactCache,
     CacheError,
     Described,
@@ -19,6 +21,8 @@ from repro.io.cache import (
     load_table,
     save_table,
 )
+
+from ..conftest import reaped_pid
 
 
 class _Colour(enum.Enum):
@@ -144,6 +148,46 @@ class TestArtifactCache:
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "elsewhere"))
         assert default_cache_root() == tmp_path / "elsewhere"
         assert ArtifactCache().root == tmp_path / "elsewhere"
+
+
+class TestTempFileSweep:
+    """Temporary files of killed writers are swept; live writes are kept."""
+
+    @staticmethod
+    def plant(cache, pid, name="abc.txt"):
+        """A half-written temporary file as ``store`` names it for ``pid``."""
+        path = cache.root / "kind" / f"{TMP_PREFIX}{pid}-1-0-{name}"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("partial")
+        return path
+
+    def test_dead_writer_swept_live_writer_kept(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        dead = self.plant(cache, reaped_pid())
+        live = self.plant(cache, os.getpid())
+        assert cache.sweep("kind") == 1
+        assert not dead.exists()
+        assert live.exists()
+
+    def test_names_without_a_pid_are_kept(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        kept = [self.plant(cache, pid) for pid in ("x", "0", "")]
+        assert cache.sweep("kind") == 0
+        assert all(path.exists() for path in kept)
+
+    def test_missing_kind_is_empty(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        assert cache.sweep("kind") == 0
+        assert cache.artifacts("kind", ".txt") == []
+
+    def test_artifacts_exclude_writes_in_flight(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        stored = [
+            cache.store("kind", key, ".txt", lambda p: p.write_text("x"))
+            for key in ("b", "a")
+        ]
+        self.plant(cache, os.getpid(), name="c.txt")
+        assert cache.artifacts("kind", ".txt") == sorted(stored)
 
 
 class TestTablePersistence:
@@ -279,6 +323,6 @@ class TestCorruptionRecovery:
         leftovers = [
             p.name
             for p in (tmp_path / "campaign").iterdir()
-            if p.name.startswith(".tmp-")
+            if p.name.startswith(TMP_PREFIX)
         ]
         assert leftovers == []

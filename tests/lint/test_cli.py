@@ -8,14 +8,15 @@ from repro.lint import validate_report
 from repro.lint.app import find_repo_root, main
 
 BAD = "import numpy as np\nrng = np.random.default_rng()\n"
+CLEAN = '"""Fine."""\nVALUE = 1\n'
 
 
-def _repo(tmp_path):
-    """A minimal repo (pyproject marker + one violating module)."""
+def _repo(tmp_path, source=BAD):
+    """A minimal repo (pyproject marker + one module, violating by default)."""
     (tmp_path / "pyproject.toml").write_text("[project]\nname='x'\n")
     pkg = tmp_path / "src" / "repro" / "core"
     pkg.mkdir(parents=True)
-    (pkg / "bad.py").write_text(BAD)
+    (pkg / "bad.py").write_text(source)
     return tmp_path
 
 
@@ -39,11 +40,7 @@ def test_main_exit_one_on_findings(tmp_path, capsys):
 
 def test_main_exit_zero_on_clean(tmp_path, capsys):
     """A clean tree exits 0."""
-    root = _repo(tmp_path)
-    (root / "src" / "repro" / "core" / "bad.py").write_text(
-        '"""Fine."""\nVALUE = 1\n'
-    )
-    assert main(["--root", str(root)]) == 0
+    assert main(["--root", str(_repo(tmp_path, CLEAN))]) == 0
 
 
 def test_json_output_file_validates(tmp_path, capsys):
@@ -151,26 +148,27 @@ def test_unknown_path_is_usage_error(tmp_path, capsys):
     assert main(["--root", str(root), "no_such_path"]) == 2
 
 
-def test_cli_lint_verb(repo_root, capsys, monkeypatch):
+def test_cli_lint_verb(tmp_path, capsys, monkeypatch):
     """``repro-traffic lint`` dispatches into the same runner."""
     from repro.cli import main as cli_main
 
-    monkeypatch.chdir(repo_root)
+    monkeypatch.chdir(_repo(tmp_path, CLEAN))
     code = cli_main(["lint", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     validate_report(payload)
     assert code == 0
     assert payload["findings"] == []
+    assert payload["counts"]["files"] == 1
 
 
-def test_module_entry_point(repo_root):
-    """``python -m repro.lint`` exits 0 on the shipped tree."""
+def test_module_entry_point(repo_root, tmp_path):
+    """``python -m repro.lint`` lints the tree it runs in; exit 0 when clean."""
     import subprocess
     import sys
 
     proc = subprocess.run(
         [sys.executable, "-m", "repro.lint", "--format", "json"],
-        cwd=repo_root,
+        cwd=_repo(tmp_path, CLEAN),
         capture_output=True,
         text=True,
         env={"PYTHONPATH": str(repo_root / "src"), "PATH": "/usr/bin:/bin"},

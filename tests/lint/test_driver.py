@@ -15,7 +15,11 @@ from repro.lint import (
     lint_paths,
     lint_source,
 )
+from repro.lint.determinism import DETERMINISTIC_DIRS, HOT_PATH_FILES
 from repro.lint.driver import SYNTAX_RULE_ID, discover_files
+from repro.lint.parallelism import EXECUTOR_MODULE
+from repro.lint.provenance import D106_DIRS
+from repro.lint.threads import SERVE_DIRS
 
 BAD = "import numpy as np\nrng = np.random.default_rng()\n"
 GOOD = '"""Fine."""\nVALUE = 1\n'
@@ -163,3 +167,13 @@ def test_scope_virtual_paths():
                             [get_rule("D103")])
     assert len(in_scope.findings) == 1
     assert out_scope.findings == ()
+
+
+@pytest.mark.parametrize(
+    "scope",
+    [*DETERMINISTIC_DIRS, *HOT_PATH_FILES, *D106_DIRS, *SERVE_DIRS,
+     EXECUTOR_MODULE],
+)
+def test_rule_scopes_name_real_paths(repo_root, scope):
+    """A scope naming a deleted path would switch its rule off unseen."""
+    assert (repo_root / scope).exists()

@@ -9,11 +9,8 @@ component may touch global random state.
 import numpy as np
 
 from repro.core.model_bank import ModelBank
-from repro.core.packet_bridge import packetize_session
 from repro.core.service_mix import ServiceMix
-from repro.dataset.appsessions import expand_app_sessions
 from repro.dataset.network import Network, NetworkConfig
-from repro.dataset.services import BehaviourClass
 from repro.dataset.simulator import SimulationConfig, simulate
 from repro.usecases.vran.sources import generate_skeleton
 from repro.usecases.vran.topology import VranTopology
@@ -68,22 +65,6 @@ class TestSeedDeterminism:
         sk_b = generate_skeleton(topo, mix, rng_b, 300.0)
         assert np.array_equal(sk_a.t_start_s, sk_b.t_start_s)
         assert np.array_equal(sk_a.service_idx, sk_b.service_idx)
-
-    def test_packetization(self):
-        rng_a, rng_b = twin_rngs()
-        a = packetize_session(2.0, 120.0, BehaviourClass.MESSAGING, rng_a)
-        b = packetize_session(2.0, 120.0, BehaviourClass.MESSAGING, rng_b)
-        assert np.array_equal(a.timestamps_s, b.timestamps_s)
-        assert np.array_equal(a.sizes_bytes, b.sizes_bytes)
-
-    def test_app_session_expansion(self):
-        rng_a, rng_b = twin_rngs()
-        minutes = np.arange(20)
-        zeros = np.zeros(20, dtype=int)
-        ta = expand_app_sessions("Facebook", minutes, zeros, zeros, rng_a)
-        tb = expand_app_sessions("Facebook", minutes, zeros, zeros, rng_b)
-        assert np.array_equal(ta.flows.volume_mb, tb.flows.volume_mb)
-        assert np.array_equal(ta.app_id, tb.app_id)
 
     def test_no_global_random_state_usage(self, network):
         # Identical explicit generators must be unaffected by reseeding the

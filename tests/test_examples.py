@@ -18,8 +18,6 @@ FAST_EXAMPLES = [
     "quickstart.py",
     "probe_pipeline.py",
     "fit_custom_service.py",
-    "packet_level_bridge.py",
-    "app_layer_sessions.py",
     "model_release_roundtrip.py",
     "model_drift.py",
 ]

@@ -47,8 +47,6 @@ SECTIONS = [
     ("ablation_du_affinity", "Ablation — DU locality in placement"),
     ("ablation_handover", "Ablation — the handover probe artefact"),
     ("ablation_sla_percentile", "Ablation — SLA allocation percentile"),
-    ("perf_scale", "Scale — 200-BS campaign"),
-    ("perf_45day", "Scale — 45-day streaming campaign"),
 ]
 
 
