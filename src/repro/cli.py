@@ -61,6 +61,8 @@ import argparse
 import sys
 
 from .io.cache import ArtifactCache
+from .io.params import ParamsError
+from .io.traces import TraceError
 from .obs.telemetry import Telemetry
 from .pipeline.context import RunContext
 from .pipeline.stages import Pipeline
@@ -72,6 +74,11 @@ from .pipeline.standard import (
     simulate_stage,
     validate_stage,
 )
+from .verify.baseline import BaselineError
+
+#: Library errors a bad path on the command line causes; ``main`` prints
+#: them in one line with exit 2.  Anything else keeps its traceback.
+_USAGE_ERRORS = (BaselineError, ParamsError, TraceError, FileNotFoundError)
 
 
 def _add_telemetry_flags(sub: argparse.ArgumentParser) -> None:
@@ -862,6 +869,9 @@ def main(argv: list[str] | None = None) -> int:
             code = handlers[args.command](args, ctx)
         status = "ok" if code == 0 else "failed"
         return code
+    except _USAGE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         telemetry.finalize(
             command=args.command,

@@ -7,8 +7,8 @@ every random draw flows from a named seed stream, nothing in the
 deterministic layers reads wall clocks or global RNG state, work
 shipped to worker processes is module-level and argument-closed, and
 structural contracts (the :class:`~repro.dataset.records.SessionTable`
-schema, the telemetry event shapes) stay in sync with their canonical
-definitions.  This package enforces those invariants *statically*, at
+schema, the src/tests dependency direction) stay in sync with their
+canonical definitions.  This package enforces those invariants *statically*, at
 review time, over ``src/``, ``tools/`` and ``benchmarks/``.
 
 Layout

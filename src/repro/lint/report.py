@@ -3,7 +3,8 @@
 The JSON form is an interchange format (CI uploads it as an artifact),
 so its shape is pinned by a checked-in JSON Schema —
 ``schemas/lint-report.schema.json`` — generated by :func:`json_schema`
-exactly like the telemetry schema is, and kept in sync by a test.  The
+exactly like the telemetry schema is, and kept in sync by a test;
+:func:`validate_report` checks a report against that same document.  The
 report is deterministic: no timestamps, no host information, findings
 pre-sorted by location.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from ..io.schema import closed_object, validate
 from .driver import LintResult
 
 #: Version tag of the JSON report format (bump on incompatible change).
@@ -93,44 +95,13 @@ def render_json(result: LintResult) -> str:
 
 
 def validate_report(payload: Any) -> None:
-    """Dependency-free structural check of one decoded JSON report.
+    """Check one decoded JSON report against :func:`json_schema`.
 
-    Mirrors the checked-in schema the same way
-    :mod:`repro.obs.schema` validates event streams without a
-    jsonschema package; raises ``ValueError`` on the first mismatch.
+    Runs the shared interpreter :func:`repro.io.schema.validate` on the
+    same document that is checked in; raises ``ValueError`` naming the
+    JSON path of the first mismatch.
     """
-    if not isinstance(payload, dict):
-        raise ValueError("report is not a JSON object")
-    for key in ("version", "root", "counts", "findings", "stale_baseline"):
-        if key not in payload:
-            raise ValueError(f"report misses required key {key!r}")
-    if payload["version"] != REPORT_VERSION:
-        raise ValueError(f"unsupported report version {payload['version']!r}")
-    if not isinstance(payload["counts"], dict):
-        raise ValueError("counts must be an object")
-    for key in ("files", "findings", "errors", "warnings", "suppressed",
-                "baselined", "stale_baseline"):
-        if not isinstance(payload["counts"].get(key), int):
-            raise ValueError(f"counts.{key} must be an integer")
-    for index, finding in enumerate(payload["findings"]):
-        for key, kind in (
-            ("rule", str), ("severity", str), ("path", str),
-            ("line", int), ("col", int), ("message", str), ("symbol", str),
-        ):
-            if not isinstance(finding.get(key), kind):
-                raise ValueError(
-                    f"findings[{index}].{key} must be {kind.__name__}"
-                )
-        if finding["severity"] not in ("error", "warning"):
-            raise ValueError(
-                f"findings[{index}].severity {finding['severity']!r} invalid"
-            )
-    for index, entry in enumerate(payload["stale_baseline"]):
-        for key in ("rule", "path", "symbol", "justification"):
-            if not isinstance(entry.get(key), str):
-                raise ValueError(
-                    f"stale_baseline[{index}].{key} must be a string"
-                )
+    validate(payload, json_schema())
 
 
 def json_schema() -> dict[str, Any]:
@@ -140,64 +111,30 @@ def json_schema() -> dict[str, Any]:
     regenerate with ``python -m repro.lint --write-report-schema`` after
     changing the report shape.
     """
-    finding = {
-        "type": "object",
-        "properties": {
-            "rule": {"type": "string"},
-            "severity": {"enum": ["error", "warning"], "type": "string"},
-            "path": {"type": "string"},
-            "line": {"type": "integer"},
-            "col": {"type": "integer"},
-            "message": {"type": "string"},
-            "symbol": {"type": "string"},
-        },
-        "required": [
-            "col", "line", "message", "path", "rule", "severity", "symbol"
-        ],
-        "additionalProperties": False,
-    }
-    stale = {
-        "type": "object",
-        "properties": {
-            "rule": {"type": "string"},
-            "path": {"type": "string"},
-            "symbol": {"type": "string"},
-            "justification": {"type": "string"},
-        },
-        "required": ["justification", "path", "rule", "symbol"],
-        "additionalProperties": False,
-    }
-    counts = {
-        "type": "object",
-        "properties": {
-            key: {"type": "integer"}
-            for key in sorted(
-                ("files", "findings", "errors", "warnings", "suppressed",
-                 "baselined", "stale_baseline")
-            )
-        },
-        "required": sorted(
-            ("files", "findings", "errors", "warnings", "suppressed",
-             "baselined", "stale_baseline")
-        ),
-        "additionalProperties": False,
-    }
+    string, integer = {"type": "string"}, {"type": "integer"}
+    counts = closed_object(
+        {key: integer for key in ("files", "findings", "errors", "warnings",
+                                  "suppressed", "baselined", "stale_baseline")}
+    )
+    severity = {"enum": ["error", "warning"], "type": "string"}
+    finding = closed_object(
+        {"rule": string, "severity": severity, "path": string, "line": integer,
+         "col": integer, "message": string, "symbol": string}
+    )
+    stale = closed_object(
+        {key: string for key in ("rule", "path", "symbol", "justification")}
+    )
+    report = closed_object(
+        {"version": {"const": REPORT_VERSION, "type": "integer"},
+         "root": string, "counts": counts,
+         "findings": {"type": "array", "items": finding},
+         "stale_baseline": {"type": "array", "items": stale}}
+    )
     return {
         "$schema": "https://json-schema.org/draft/2020-12/schema",
         "$id": f"repro-lint-report/{REPORT_VERSION}",
         "title": "repro-lint JSON report",
-        "type": "object",
-        "properties": {
-            "version": {"const": REPORT_VERSION, "type": "integer"},
-            "root": {"type": "string"},
-            "counts": counts,
-            "findings": {"type": "array", "items": finding},
-            "stale_baseline": {"type": "array", "items": stale},
-        },
-        "required": [
-            "counts", "findings", "root", "stale_baseline", "version"
-        ],
-        "additionalProperties": False,
+        **report,
     }
 
 

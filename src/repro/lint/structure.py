@@ -2,7 +2,6 @@
 
 Cross-cutting data contracts — the canonical
 :class:`~repro.dataset.records.SessionTable` column schema, the
-telemetry event shapes of ``schemas/telemetry-events.schema.json``, the
 src/tests dependency direction — are easy to drift one call site at a
 time.  These rules pin every literal occurrence to the single canonical
 definition.
@@ -148,90 +147,6 @@ class SessionTableDtypeDrift(Rule):
         if dtype is None:
             return None
         return ctx.qualified(dtype)
-
-
-@register
-class TelemetryEventShape(Rule):
-    """S302 — event dict literals outside the telemetry schema."""
-
-    id = "S302"
-    title = "telemetry event field outside schema"
-    severity = "error"
-    rationale = (
-        "events.jsonl is an interchange format validated by "
-        "repro.obs.schema and the checked-in JSON Schema; an emission "
-        "site inventing a field (or misspelling one) ships streams that "
-        "fail CI validation after the run already happened.  The lint "
-        "rule moves that failure to review time."
-    )
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        """Scope: the library package."""
-        return ctx.in_dirs("src")
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        """Check literal keys of ``…sink.write({...})`` emissions."""
-        from ..obs.schema import EVENT_FIELDS
-
-        for call in ctx.calls():
-            if not (
-                isinstance(call.func, ast.Attribute)
-                and call.func.attr == "write"
-                and self._sinkish(call.func.value)
-            ):
-                continue
-            if len(call.args) != 1 or not isinstance(call.args[0], ast.Dict):
-                continue
-            event = call.args[0]
-            keys: dict[str, ast.expr] = {}
-            has_unpack = False
-            for key, value in zip(event.keys, event.values):
-                if key is None:
-                    has_unpack = True
-                elif isinstance(key, ast.Constant) and isinstance(
-                    key.value, str
-                ):
-                    keys[key.value] = value
-            type_value = keys.get("type")
-            if not isinstance(type_value, ast.Constant):
-                continue
-            fields = EVENT_FIELDS.get(type_value.value)
-            if fields is None:
-                yield self.finding(
-                    ctx, type_value,
-                    f"event type {type_value.value!r} is not in the "
-                    "telemetry schema (see repro.obs.schema.EVENT_FIELDS)",
-                )
-                continue
-            for key_name, value in keys.items():
-                if key_name not in fields:
-                    yield self.finding(
-                        ctx, value,
-                        f"field {key_name!r} is not in the "
-                        f"{type_value.value!r} event schema",
-                    )
-            if not has_unpack:
-                missing = sorted(
-                    name
-                    for name, (_, required, _enum) in fields.items()
-                    if required and name not in keys
-                )
-                if missing:
-                    yield self.finding(
-                        ctx, event,
-                        f"{type_value.value!r} event emission misses "
-                        f"required fields {missing}",
-                    )
-
-    @staticmethod
-    def _sinkish(receiver: ast.expr) -> bool:
-        """Whether the write receiver names a telemetry sink."""
-        name = None
-        if isinstance(receiver, ast.Name):
-            name = receiver.id
-        elif isinstance(receiver, ast.Attribute):
-            name = receiver.attr
-        return name is not None and name.lstrip("_").endswith("sink")
 
 
 @register

@@ -1,4 +1,4 @@
-"""Schema of the ``events.jsonl`` telemetry stream, plus its validator.
+"""Schema of the ``events.jsonl`` telemetry stream, and its stream rules.
 
 Every line of an event stream is one JSON object whose ``type`` field
 selects its shape:
@@ -11,12 +11,12 @@ selects its shape:
   ETA) mirroring the atomically-rewritten ``progress.json``;
 * ``metrics`` — the final metric snapshot (last line of a finished run).
 
-The canonical machine-readable form is the checked-in JSON Schema document
-``schemas/telemetry-events.schema.json``, generated from the field
-specifications below by :func:`json_schema` (the test suite asserts the
-file is in sync).  :func:`validate_event` / :func:`validate_events_file`
-implement the same constraints dependency-free, so CI can validate a run's
-stream without a jsonschema package.
+The event shapes are written below as one JSON Schema literal,
+:func:`json_schema`, rendered verbatim to the checked-in
+``schemas/telemetry-events.schema.json`` (the test suite asserts the file
+is in sync).  :func:`validate_event` checks an event against that same
+document with the shared interpreter :func:`repro.io.schema.validate`;
+:func:`validate_events` adds the stream rules a schema cannot state.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Iterable
 
+from ..io.schema import closed_object, validate
 from .sinks import read_events
 from .spans import SPAN_KINDS
 
@@ -38,89 +39,78 @@ class SchemaError(ValueError):
     """Raised when an event does not conform to the stream schema."""
 
 
-#: Field specifications per event type: ``name -> (json_types, required,
-#: enum)``.  ``json_types`` uses JSON Schema type names; ``enum`` limits
-#: the allowed values when not ``None``.
-EVENT_FIELDS: dict[str, dict[str, tuple[tuple[str, ...], bool, tuple | None]]] = {
-    "span": {
-        "type": (("string",), True, ("span",)),
-        "id": (("integer",), True, None),
-        "parent": (("integer", "null"), True, None),
-        "name": (("string",), True, None),
-        "kind": (("string",), True, tuple(SPAN_KINDS)),
-        "start_s": (("number",), True, None),
-        "wall_s": (("number",), True, None),
-        "cpu_s": (("number",), True, None),
-        "status": (("string",), True, ("ok", "error")),
-        "attrs": (("object",), True, None),
-    },
-    "stage": {
-        "type": (("string",), True, ("stage",)),
-        "name": (("string",), True, None),
-        "status": (("string",), True, ("computed", "cached")),
-        "seconds": (("number",), True, None),
-        "key": (("string", "null"), False, None),
-        "cache": (("string", "null"), False, ("hit", "miss", None)),
-        "payload": (("object", "null"), False, None),
-    },
-    "message": {
-        "type": (("string",), True, ("message",)),
-        "level": (("string",), True, None),
-        "text": (("string",), True, None),
-    },
-    "access": {
-        "type": (("string",), True, ("access",)),
-        "route": (("string",), True, None),
-        "method": (("string",), True, None),
-        "status": (("integer",), True, None),
-        "seconds": (("number",), True, None),
-        "bytes": (("integer",), True, None),
-        "trace": (("string", "null"), False, None),
-    },
-    "heartbeat": {
-        "type": (("string",), True, ("heartbeat",)),
-        "done": (("integer",), True, None),
-        "total": (("integer",), True, None),
-        "sessions": (("integer",), True, None),
-        "rate": (("number", "null"), True, None),
-        "eta_s": (("number", "null"), True, None),
-        "wave": (("integer",), True, None),
-        "elapsed_s": (("number",), True, None),
-    },
-    "metrics": {
-        "type": (("string",), True, ("metrics",)),
-        "counters": (("object",), True, None),
-        "gauges": (("object",), True, None),
-        "histograms": (("object",), True, None),
-    },
-}
+_STRING = {"type": "string"}
+_INTEGER = {"type": "integer"}
+_NUMBER = {"type": "number"}
+_OBJECT = {"type": "object"}
 
 
-def _json_type_of(value: Any) -> str:
-    """JSON Schema type name of a decoded JSON value."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, int):
-        return "integer"
-    if isinstance(value, float):
-        return "number"
-    if isinstance(value, str):
-        return "string"
-    if isinstance(value, list):
-        return "array"
-    if isinstance(value, dict):
-        return "object"
-    raise SchemaError(f"value {value!r} is not a JSON value")
+def _event(event_type: str, required: dict, optional: dict | None = None) -> dict:
+    """One ``oneOf`` variant: a closed object keyed by its ``type`` value."""
+    keyed = {"type": {"enum": [event_type], "type": "string"}, **required}
+    return closed_object(
+        {**keyed, **(optional or {})}, keyed, title=f"{event_type} event"
+    )
 
 
-def _matches(value: Any, json_types: tuple[str, ...]) -> bool:
-    actual = _json_type_of(value)
-    if actual in json_types:
-        return True
-    # JSON Schema semantics: every integer is also a number.
-    return actual == "integer" and "number" in json_types
+def json_schema() -> dict[str, Any]:
+    """The stream schema as a standard JSON Schema document.
+
+    This is the generator of the checked-in
+    ``schemas/telemetry-events.schema.json``; regenerate with::
+
+        python -m repro.obs.schema
+
+    after changing an event shape here.
+    """
+    number_or_null = {"type": ["number", "null"]}
+    string_or_null = {"type": ["string", "null"]}
+    return {
+        "$schema": "https://json-schema.org/draft/2020-12/schema",
+        "$id": EVENTS_SCHEMA_ID,
+        "title": "repro telemetry event stream (one object per JSONL line)",
+        "oneOf": [
+            _event(
+                "access",
+                {"route": _STRING, "method": _STRING, "status": _INTEGER,
+                 "seconds": _NUMBER, "bytes": _INTEGER},
+                {"trace": string_or_null},
+            ),
+            _event(
+                "heartbeat",
+                {"done": _INTEGER, "total": _INTEGER, "sessions": _INTEGER,
+                 "rate": number_or_null, "eta_s": number_or_null,
+                 "wave": _INTEGER, "elapsed_s": _NUMBER},
+            ),
+            _event("message", {"level": _STRING, "text": _STRING}),
+            _event(
+                "metrics",
+                {"counters": _OBJECT, "gauges": _OBJECT, "histograms": _OBJECT},
+            ),
+            _event(
+                "span",
+                {"id": _INTEGER, "parent": {"type": ["integer", "null"]},
+                 "name": _STRING,
+                 "kind": {"enum": list(SPAN_KINDS), "type": "string"},
+                 "start_s": _NUMBER, "wall_s": _NUMBER, "cpu_s": _NUMBER,
+                 "status": {"enum": ["ok", "error"], "type": "string"},
+                 "attrs": _OBJECT},
+            ),
+            _event(
+                "stage",
+                {"name": _STRING,
+                 "status": {"enum": ["computed", "cached"], "type": "string"},
+                 "seconds": _NUMBER},
+                {"key": string_or_null,
+                 "cache": {"enum": ["hit", "miss", None],
+                           "type": ["string", "null"]},
+                 "payload": {"type": ["object", "null"]}},
+            ),
+        ],
+    }
+
+
+_SCHEMA = json_schema()
 
 
 def validate_event(event: Any) -> str:
@@ -129,39 +119,8 @@ def validate_event(event: Any) -> str:
     Unknown fields are rejected — the stream is an interchange format, so
     anything a producer emits must be in the schema.
     """
-    if not isinstance(event, dict):
-        raise SchemaError(f"event is not a JSON object: {event!r}")
-    event_type = event.get("type")
-    fields = EVENT_FIELDS.get(event_type)  # type: ignore[arg-type]
-    if fields is None:
-        raise SchemaError(
-            f"unknown event type {event_type!r}; "
-            f"expected one of {sorted(EVENT_FIELDS)}"
-        )
-    for name, (json_types, required, enum) in fields.items():
-        if name not in event:
-            if required:
-                raise SchemaError(
-                    f"{event_type} event missing required field {name!r}"
-                )
-            continue
-        value = event[name]
-        if not _matches(value, json_types):
-            raise SchemaError(
-                f"{event_type} event field {name!r} has type "
-                f"{_json_type_of(value)}, expected {'/'.join(json_types)}"
-            )
-        if enum is not None and value not in enum:
-            raise SchemaError(
-                f"{event_type} event field {name!r} value {value!r} "
-                f"not in {enum}"
-            )
-    unknown = set(event) - set(fields)
-    if unknown:
-        raise SchemaError(
-            f"{event_type} event carries unknown fields {sorted(unknown)}"
-        )
-    return event_type  # type: ignore[return-value]
+    validate(event, _SCHEMA, SchemaError)
+    return event["type"]
 
 
 def validate_events(events: Iterable[Any]) -> dict[str, int]:
@@ -192,52 +151,6 @@ def validate_events_file(path: str | Path) -> dict[str, int]:
     return validate_events(read_events(path))
 
 
-def _field_schema(json_types: tuple[str, ...], enum: tuple | None) -> dict:
-    schema: dict[str, Any] = {
-        "type": list(json_types) if len(json_types) > 1 else json_types[0]
-    }
-    if enum is not None:
-        schema["enum"] = list(enum)
-    return schema
-
-
-def json_schema() -> dict[str, Any]:
-    """The stream schema as a standard JSON Schema document.
-
-    This is the generator of the checked-in
-    ``schemas/telemetry-events.schema.json``; regenerate with::
-
-        python -m repro.obs.schema
-
-    after changing :data:`EVENT_FIELDS`.
-    """
-    variants = []
-    for event_type in sorted(EVENT_FIELDS):
-        fields = EVENT_FIELDS[event_type]
-        variants.append(
-            {
-                "title": f"{event_type} event",
-                "type": "object",
-                "properties": {
-                    name: _field_schema(json_types, enum)
-                    for name, (json_types, _, enum) in sorted(fields.items())
-                },
-                "required": [
-                    name
-                    for name, (_, required, _enum) in sorted(fields.items())
-                    if required
-                ],
-                "additionalProperties": False,
-            }
-        )
-    return {
-        "$schema": "https://json-schema.org/draft/2020-12/schema",
-        "$id": EVENTS_SCHEMA_ID,
-        "title": "repro telemetry event stream (one object per JSONL line)",
-        "oneOf": variants,
-    }
-
-
 def render_schema() -> str:
     """The checked-in schema file's exact text content."""
     import json
@@ -248,17 +161,10 @@ def render_schema() -> str:
 def _main(argv: list[str] | None = None) -> int:
     """Regenerate the checked-in schema, or validate a stream argument.
 
-    ``python -m repro.obs.schema [--quiet] [events.jsonl]`` — with a path
-    argument the stream is validated, without one the checked-in schema
-    document is regenerated.  Exit codes are a documented contract (CI
-    and scripts rely on them):
-
-    * ``0`` — the stream is valid (or the schema was regenerated);
-    * ``1`` — the stream is invalid or unreadable;
-    * ``2`` — usage error (unknown flag, extra arguments).
-
-    ``--quiet`` suppresses the success line; diagnostics still go to
-    stderr on failure.
+    ``python -m repro.obs.schema [--quiet] [events.jsonl]`` validates the
+    stream, or without a path regenerates the checked-in document.  CI
+    relies on the exit codes: ``0`` valid (or regenerated), ``1`` invalid
+    or unreadable, ``2`` usage error.  ``--quiet`` drops the success line.
     """
     import argparse
     import sys

@@ -1,14 +1,14 @@
-"""OpenAPI description of the query API, plus a dependency-free validator.
+"""OpenAPI description of the query API, validated by the shared interpreter.
 
 The canonical machine-readable contract of :mod:`repro.serve.http` is the
 checked-in ``schemas/openapi-serve.json``, generated from the component
 schemas below by :func:`openapi_spec` (the test suite asserts the file is
 in sync; regenerate with ``python -m repro.serve.openapi``).  The schemas
-use a deliberately restricted JSON-Schema subset — ``type``, ``enum``,
-``properties``/``required``/``additionalProperties``, ``items`` and local
-``$ref`` — so :func:`validate_response` can enforce the contract without
-a jsonschema package: CI curls every endpoint and validates the body
-right here.
+stay inside the JSON-Schema subset that :func:`repro.io.schema.validate`
+interprets, so :func:`validate_response` checks a body against that same
+document, resolving its ``$ref`` pointers against the spec: CI curls every
+endpoint and validates the body with ``python -m repro.serve.openapi
+check``.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import hashlib
 import json
 from pathlib import Path
 from typing import Any, Mapping
+
+from ..io.schema import closed_object, validate
 
 #: Version tag of the API description (bump on incompatible change).
 OPENAPI_VERSION_TAG = "1.0.0"
@@ -33,177 +35,103 @@ def _array(items: Mapping[str, Any]) -> dict:
     return {"type": "array", "items": dict(items)}
 
 
-def _object(
-    properties: Mapping[str, Any],
-    required: list[str],
-    *,
-    additional: bool = False,
-) -> dict:
-    return {
-        "type": "object",
-        "properties": {k: dict(v) for k, v in properties.items()},
-        "required": sorted(required),
-        "additionalProperties": additional,
-    }
-
-
 _REF = "#/components/schemas/"
 
-_PAGINATION_PROPS = {
-    "offset": {"type": "integer"},
-    "limit": {"type": "integer"},
-    "total": {"type": "integer"},
-}
+_STRING = {"type": "string"}
+_INTEGER = {"type": "integer"}
+_NUMBER = {"type": "number"}
+
+_PAGINATION_PROPS = {"offset": _INTEGER, "limit": _INTEGER, "total": _INTEGER}
 
 
 def _component_schemas() -> dict[str, dict]:
     """Every named schema of the API contract."""
     return {
-        "Error": _object(
-            {"error": {"type": "string"}, "status": {"type": "integer"}},
-            ["error", "status"],
-        ),
-        "CampaignEntry": _object(
+        "Error": closed_object({"error": _STRING, "status": _INTEGER}),
+        "CampaignEntry": closed_object(
             {
-                "name": {"type": "string"},
-                "digest": {"type": "string"},
-                "sessions": {"type": "integer"},
-                "units": {"type": "integer"},
-                "shards": {"type": "integer"},
+                "name": _STRING, "digest": _STRING, "sessions": _INTEGER,
+                "units": _INTEGER, "shards": _INTEGER,
                 "manifest": {"type": ["object", "null"]},
                 "trace": {"type": ["string", "null"]},
-            },
-            [
-                "name",
-                "digest",
-                "sessions",
-                "units",
-                "shards",
-                "manifest",
-                "trace",
-            ],
+            }
         ),
-        "CampaignList": _object(
+        "CampaignList": closed_object(
             {
                 "campaigns": _array({"$ref": _REF + "CampaignEntry"}),
-                "count": {"type": "integer"},
+                "count": _INTEGER,
                 **_PAGINATION_PROPS,
             },
             ["campaigns", "count"],
         ),
-        "ServiceShare": _object(
+        "ServiceShare": closed_object(
             {
-                "service": {"type": "string"},
-                "session_share": {"type": "number"},
-                "traffic_share": {"type": "number"},
-            },
-            ["service", "session_share", "traffic_share"],
+                "service": _STRING,
+                "session_share": _NUMBER,
+                "traffic_share": _NUMBER,
+            }
         ),
-        "SharesDocument": _object(
+        "SharesDocument": closed_object(
             {
-                "campaign": {"type": "string"},
-                "digest": {"type": "string"},
-                "sessions": {"type": "integer"},
-                "total_volume_mb": {"type": "number"},
+                "campaign": _STRING, "digest": _STRING, "sessions": _INTEGER,
+                "total_volume_mb": _NUMBER,
                 "services": _array({"$ref": _REF + "ServiceShare"}),
                 **_PAGINATION_PROPS,
             },
-            [
-                "campaign",
-                "digest",
-                "sessions",
-                "total_volume_mb",
-                "services",
-            ],
+            ["campaign", "digest", "sessions", "total_volume_mb", "services"],
         ),
-        "PdfDocument": _object(
+        "PdfDocument": closed_object(
             {
-                "campaign": {"type": "string"},
-                "digest": {"type": "string"},
+                "campaign": _STRING, "digest": _STRING,
                 "axis": {
                     "type": "string",
                     "enum": ["log10_volume_mb", "duration_s"],
                 },
-                "edges": _array({"type": "number"}),
-                "density": _array({"type": "number"}),
-                "samples": {"type": "integer"},
-            },
-            ["campaign", "digest", "axis", "edges", "density", "samples"],
+                "edges": _array(_NUMBER), "density": _array(_NUMBER),
+                "samples": _INTEGER,
+            }
         ),
-        "ArrivalDecile": _object(
+        "ArrivalDecile": closed_object(
             {
-                "label": {"type": "string"},
-                "peak_mu": {"type": "number"},
-                "peak_sigma": {"type": "number"},
-                "night_scale": {"type": "number"},
-                "night_shape": {"type": "number"},
-            },
-            [
-                "label",
-                "peak_mu",
-                "peak_sigma",
-                "night_scale",
-                "night_shape",
-            ],
+                "label": _STRING, "peak_mu": _NUMBER, "peak_sigma": _NUMBER,
+                "night_scale": _NUMBER, "night_shape": _NUMBER,
+            }
         ),
-        "ArrivalsDocument": _object(
+        "ArrivalsDocument": closed_object(
             {
-                "release_digest": {"type": "string"},
+                "release_digest": _STRING,
                 "deciles": _array({"$ref": _REF + "ArrivalDecile"}),
-            },
-            ["release_digest", "deciles"],
+            }
         ),
-        "FidelityCheck": _object(
+        "FidelityCheck": closed_object(
             {
-                "claim": {"type": "string"},
-                "statistic": {"type": "string"},
-                "value": {"type": "number"},
-                "lo": {"type": "number"},
-                "hi": {"type": "number"},
-                "passed": {"type": "boolean"},
-                "skipped": {"type": "boolean"},
-                "provenance": {"type": "string"},
-            },
-            [
-                "claim",
-                "statistic",
-                "value",
-                "lo",
-                "hi",
-                "passed",
-                "skipped",
-                "provenance",
-            ],
+                "claim": _STRING, "statistic": _STRING, "value": _NUMBER,
+                "lo": _NUMBER, "hi": _NUMBER, "passed": {"type": "boolean"},
+                "skipped": {"type": "boolean"}, "provenance": _STRING,
+            }
         ),
-        "FidelitySummary": _object(
+        "FidelitySummary": closed_object(
             {
-                "checks": {"type": "integer"},
-                "claims": {"type": "integer"},
-                "failed": {"type": "integer"},
-                "skipped": {"type": "integer"},
+                "checks": _INTEGER, "claims": _INTEGER, "failed": _INTEGER,
+                "skipped": _INTEGER,
                 "verdict": {
                     "type": "string",
                     "enum": ["OK", "FAILED", "SKIPPED"],
                 },
-            },
-            ["checks", "claims", "failed", "skipped", "verdict"],
+            }
         ),
-        "FidelityDocument": _object(
+        "FidelityDocument": closed_object(
             {
-                "campaign": {"type": "string"},
-                "digest": {"type": "string"},
-                "claims": _array({"type": "string"}),
+                "campaign": _STRING, "digest": _STRING,
+                "claims": _array(_STRING),
                 "summary": {"$ref": _REF + "FidelitySummary"},
                 "checks": _array({"$ref": _REF + "FidelityCheck"}),
-            },
-            ["campaign", "digest", "claims", "summary", "checks"],
+            }
         ),
-        "SubmitResult": _object(
+        "SubmitResult": closed_object(
             {
-                "ingested": {"type": "integer"},
-                "campaigns": _array({"type": "string"}),
-                "aggregate": {"type": "integer"},
-                "manifest": {"type": "integer"},
+                "ingested": _INTEGER, "campaigns": _array(_STRING),
+                "aggregate": _INTEGER, "manifest": _INTEGER,
             },
             ["ingested", "campaigns"],
         ),
@@ -411,79 +339,6 @@ def spec_etag() -> str:
     return hashlib.sha256(render_spec().encode("utf-8")).hexdigest()[:32]
 
 
-# ----------------------------------------------------------------------
-# Dependency-free response validation (the restricted schema subset)
-# ----------------------------------------------------------------------
-def _json_type_of(value: Any) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, int):
-        return "integer"
-    if isinstance(value, float):
-        return "number"
-    if isinstance(value, str):
-        return "string"
-    if isinstance(value, list):
-        return "array"
-    if isinstance(value, dict):
-        return "object"
-    raise OpenApiError(f"value {value!r} is not a JSON value")
-
-
-def _resolve(schema: Mapping[str, Any], spec: Mapping[str, Any]) -> dict:
-    ref = schema.get("$ref")
-    if ref is None:
-        return dict(schema)
-    if not ref.startswith(_REF):
-        raise OpenApiError(f"unsupported $ref {ref!r}")
-    name = ref[len(_REF):]
-    try:
-        return dict(spec["components"]["schemas"][name])
-    except KeyError as exc:
-        raise OpenApiError(f"unresolvable $ref {ref!r}") from exc
-
-
-def _check(
-    schema: Mapping[str, Any],
-    value: Any,
-    spec: Mapping[str, Any],
-    where: str,
-) -> None:
-    schema = _resolve(schema, spec)
-    expected = schema.get("type")
-    if expected is not None:
-        allowed = [expected] if isinstance(expected, str) else list(expected)
-        actual = _json_type_of(value)
-        if actual == "integer" and "number" in allowed:
-            actual = "number"
-        if actual not in allowed:
-            raise OpenApiError(
-                f"{where}: expected {'/'.join(allowed)}, got {actual}"
-            )
-    enum = schema.get("enum")
-    if enum is not None and value not in enum:
-        raise OpenApiError(f"{where}: value {value!r} not in {enum}")
-    if isinstance(value, dict) and "properties" in schema:
-        properties = schema["properties"]
-        for name in schema.get("required", ()):
-            if name not in value:
-                raise OpenApiError(
-                    f"{where}: missing required property {name!r}"
-                )
-        for name, item in value.items():
-            if name in properties:
-                _check(properties[name], item, spec, f"{where}.{name}")
-            elif not schema.get("additionalProperties", True):
-                raise OpenApiError(
-                    f"{where}: unexpected property {name!r}"
-                )
-    if isinstance(value, list) and "items" in schema:
-        for index, item in enumerate(value):
-            _check(schema["items"], item, spec, f"{where}[{index}]")
-
-
 def validate_response(
     path: str,
     status: int,
@@ -518,25 +373,62 @@ def validate_response(
                 f"{method.upper()} {path} -> {status} must have no body"
             )
         return
-    schema = content["application/json"]["schema"]
-    _check(schema, payload, document, f"{path}[{status}]")
+    if "application/json" not in content:
+        raise OpenApiError(
+            f"{method.upper()} {path} -> {status} has no JSON body"
+        )
+    validate(
+        payload,
+        content["application/json"]["schema"],
+        OpenApiError,
+        root=document,
+        where=f"{method.upper()} {path} -> {status}: $",
+    )
 
 
-def _main() -> int:
-    """Regenerate the checked-in spec, or validate a response file.
+def _main(argv: list[str] | None = None) -> int:
+    """Regenerate the checked-in spec, or validate a saved response body.
 
-    * no arguments — write ``schemas/openapi-serve.json``;
-    * ``check PATH STATUS FILE`` — validate a saved JSON response body
-      against the contract (used by the CI serve-smoke job).
+    ``python -m repro.serve.openapi [check PATH STATUS FILE]`` (CI's
+    serve-smoke job checks every endpoint) exits ``0`` if the body
+    conforms or the spec was written, ``1`` if the body breaches the
+    contract or is unreadable, and ``2`` on a usage error — the contract
+    of ``python -m repro.obs.schema``.
     """
+    import argparse
     import sys
 
-    if len(sys.argv) >= 2 and sys.argv[1] == "check":
-        _, _, path, status, body_file = sys.argv[:5]
-        payload = json.loads(Path(body_file).read_text(encoding="utf-8"))
-        validate_response(path, int(status), payload)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.serve.openapi",
+        description=(
+            "Validate a saved response body against the API contract, or "
+            "(with no command) regenerate the checked-in OpenAPI document."
+        ),
+    )
+    check = parser.add_subparsers(dest="command").add_parser(
+        "check", help="validate a saved JSON response body"
+    )
+    check.add_argument("path", help="endpoint path, e.g. /v1/fidelity")
+    check.add_argument("status", type=int, help="HTTP status of the body")
+    check.add_argument("body_file", help="file holding the JSON body")
+    try:
+        options = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on usage errors and 0 on --help; pin both.
+        return 2 if exc.code else 0
+    if options.command == "check":
+        try:
+            text = Path(options.body_file).read_text(encoding="utf-8")
+            validate_response(options.path, options.status, json.loads(text))
+        except (OpenApiError, OSError, json.JSONDecodeError) as exc:
+            # repro-lint: disable-next-line=S305 -- module CLI output, no run telemetry exists here
+            print(f"{options.body_file}: nonconforming: {exc}", file=sys.stderr)
+            return 1
         # repro-lint: disable-next-line=S305 -- module CLI output, no run telemetry exists here
-        print(f"{body_file}: conforms to {path} -> {status}")
+        print(
+            f"{options.body_file}: conforms to {options.path} -> "
+            f"{options.status}"
+        )
         return 0
     target = Path(SPEC_PATH)
     target.parent.mkdir(parents=True, exist_ok=True)

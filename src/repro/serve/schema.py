@@ -1,8 +1,7 @@
-"""Schema of the JSONL submit stream, plus its dependency-free validator.
+"""Schema of the JSONL submit stream, and its stream rules.
 
 A submission to ``POST /v1/submit`` is JSON Lines: each line is one JSON
-object whose ``type`` field selects its shape, mirroring the field-spec
-convention of :mod:`repro.obs.schema` (the telemetry event stream):
+object whose ``type`` field selects its shape:
 
 * ``aggregate`` — one merged campaign aggregate in the exact versioned
   form of :meth:`~repro.campaign.sketches.CampaignAggregate.to_dict`,
@@ -12,104 +11,79 @@ convention of :mod:`repro.obs.schema` (the telemetry event stream):
   never land.
 * ``manifest`` — one telemetry run manifest attached to a campaign.
 
-Unknown fields are rejected: the stream is an interchange format, so
-anything a producer emits must be in the schema.
+The line shapes are one JSON Schema literal, :func:`json_schema`, checked
+in as ``schemas/serve-submit.schema.json`` (a test keeps the two in sync)
+and applied to every line by :func:`repro.io.schema.validate`.  Unknown
+fields are rejected: anything a producer emits must be in the schema.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Any, Iterable
+
+from ..io.schema import closed_object, validate
 
 #: Version tag of the submit-stream format (bump on incompatible change).
 SUBMIT_SCHEMA_ID = "repro-serve-submit/1"
+
+#: Repository-relative path of the checked-in JSON Schema document.
+SUBMIT_SCHEMA_PATH = "schemas/serve-submit.schema.json"
 
 
 class SubmitSchemaError(ValueError):
     """Raised when a submission line does not conform to the schema."""
 
 
-#: Field specifications per line type: ``name -> (json_types, required)``.
-SUBMIT_FIELDS: dict[str, dict[str, tuple[tuple[str, ...], bool]]] = {
-    "aggregate": {
-        "type": (("string",), True),
-        "campaign": (("string",), True),
-        "digest": (("string",), True),
-        "payload": (("object",), True),
-    },
-    "manifest": {
-        "type": (("string",), True),
-        "campaign": (("string",), True),
-        "payload": (("object",), True),
-    },
-}
+def _line(line_type: str, fields: dict[str, dict]) -> dict[str, Any]:
+    """One ``oneOf`` variant: a closed object keyed by its ``type`` value."""
+    return closed_object(
+        {
+            "type": {"enum": [line_type], "type": "string"},
+            "campaign": {"minLength": 1, "type": "string"},
+            "payload": {"type": "object"},
+            **fields,
+        },
+        title=f"{line_type} line",
+    )
 
 
-def _json_type_of(value: Any) -> str:
-    """JSON Schema type name of a decoded JSON value."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, int):
-        return "integer"
-    if isinstance(value, float):
-        return "number"
-    if isinstance(value, str):
-        return "string"
-    if isinstance(value, list):
-        return "array"
-    if isinstance(value, dict):
-        return "object"
-    raise SubmitSchemaError(f"value {value!r} is not a JSON value")
+def json_schema() -> dict[str, Any]:
+    """The submit stream as a standard JSON Schema document (one line)."""
+    return {
+        "$schema": "https://json-schema.org/draft/2020-12/schema",
+        "$id": SUBMIT_SCHEMA_ID,
+        "title": "repro serve submit stream (one object per JSONL line)",
+        "oneOf": [
+            _line("aggregate", {"digest": {"type": "string"}}),
+            _line("manifest", {}),
+        ],
+    }
+
+
+def render_schema() -> str:
+    """The checked-in schema file's exact text content."""
+    return json.dumps(json_schema(), indent=2, sort_keys=True) + "\n"
+
+
+_SCHEMA = json_schema()
 
 
 def validate_submission(line: Any) -> str:
     """Check one decoded submission object; returns its type or raises."""
-    if not isinstance(line, dict):
-        raise SubmitSchemaError(
-            f"submission line is not a JSON object: {line!r}"
-        )
-    line_type = line.get("type")
-    fields = SUBMIT_FIELDS.get(line_type)  # type: ignore[arg-type]
-    if fields is None:
-        raise SubmitSchemaError(
-            f"unknown submission type {line_type!r}; "
-            f"expected one of {sorted(SUBMIT_FIELDS)}"
-        )
-    for name, (json_types, required) in fields.items():
-        if name not in line:
-            if required:
-                raise SubmitSchemaError(
-                    f"{line_type} submission missing required field {name!r}"
-                )
-            continue
-        actual = _json_type_of(line[name])
-        if actual not in json_types:
-            raise SubmitSchemaError(
-                f"{line_type} submission field {name!r} has type "
-                f"{actual}, expected {'/'.join(json_types)}"
-            )
-    if not line["campaign"]:
-        raise SubmitSchemaError("submission campaign name must be non-empty")
-    unknown = set(line) - set(fields)
-    if unknown:
-        raise SubmitSchemaError(
-            f"{line_type} submission carries unknown fields {sorted(unknown)}"
-        )
-    return line_type  # type: ignore[return-value]
+    validate(line, _SCHEMA, SubmitSchemaError)
+    return line["type"]
 
 
 def validate_submissions(lines: Iterable[Any]) -> dict[str, int]:
     """Validate a decoded submission stream; returns per-type counts."""
     counts: dict[str, int] = {}
-    total = 0
     for index, line in enumerate(lines):
         try:
             line_type = validate_submission(line)
         except SubmitSchemaError as exc:
             raise SubmitSchemaError(f"line #{index}: {exc}") from None
         counts[line_type] = counts.get(line_type, 0) + 1
-        total += 1
-    if total == 0:
+    if not counts:
         raise SubmitSchemaError("submission stream is empty")
     return counts

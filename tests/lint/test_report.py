@@ -1,4 +1,4 @@
-"""JSON report shape: payload, validator, and checked-in schema sync."""
+"""JSON report shape: payload, validator and the human form."""
 
 from __future__ import annotations
 
@@ -8,12 +8,7 @@ import pytest
 
 from repro.lint import Finding, LintResult, render_human, render_json
 from repro.lint.baseline import BaselineEntry
-from repro.lint.report import (
-    REPORT_SCHEMA_PATH,
-    render_schema,
-    report_payload,
-    validate_report,
-)
+from repro.lint.report import report_payload, validate_report
 
 
 def _result() -> LintResult:
@@ -70,16 +65,6 @@ def test_validator_rejects_mutations(mutate, match):
     mutate(payload)
     with pytest.raises(ValueError, match=match):
         validate_report(payload)
-
-
-def test_checked_in_schema_in_sync(repo_root):
-    """schemas/lint-report.schema.json matches the generator exactly.
-
-    Regenerate with ``python -m repro.lint --write-report-schema`` after
-    changing the report shape.
-    """
-    checked_in = (repo_root / REPORT_SCHEMA_PATH).read_text(encoding="utf-8")
-    assert checked_in == render_schema()
 
 
 def test_human_report_summarizes():

@@ -96,65 +96,6 @@ class TestS301SessionTableDtype:
         assert run_rule("S301", good) == []
 
 
-class TestS302TelemetryEventShape:
-    """S302 checks sink.write dict literals against EVENT_FIELDS."""
-
-    def test_flags_unknown_event_type(self):
-        """An event type absent from the schema fails validation later."""
-        bad = """
-            def emit(sink):
-                sink.write({"type": "spam", "text": "hi"})
-        """
-        found = run_rule("S302", bad, "src/repro/obs/x.py")
-        assert len(found) == 1
-        assert "spam" in found[0].message
-
-    def test_flags_unknown_field(self):
-        """A misspelled field on a known type is flagged at the field."""
-        bad = """
-            def emit(sink):
-                sink.write({"type": "message", "level": "info",
-                            "text": "hi", "colour": "red"})
-        """
-        found = run_rule("S302", bad, "src/repro/obs/x.py")
-        assert len(found) == 1
-        assert "colour" in found[0].message
-
-    def test_flags_missing_required_field(self):
-        """A literal missing a required field ships invalid streams."""
-        bad = """
-            def emit(sink):
-                sink.write({"type": "message", "level": "info"})
-        """
-        found = run_rule("S302", bad, "src/repro/obs/x.py")
-        assert len(found) == 1
-        assert "text" in found[0].message
-
-    def test_allows_schema_conforming_event(self):
-        """A complete, correctly-spelled literal passes."""
-        good = """
-            def emit(sink):
-                sink.write({"type": "message", "level": "info", "text": "hi"})
-        """
-        assert run_rule("S302", good, "src/repro/obs/x.py") == []
-
-    def test_unpack_skips_required_check(self):
-        """``**extra`` may supply required fields; only literals checked."""
-        good = """
-            def emit(sink, extra):
-                sink.write({"type": "message", **extra})
-        """
-        assert run_rule("S302", good, "src/repro/obs/x.py") == []
-
-    def test_non_sink_receiver_ignored(self):
-        """``fh.write({...})`` on a non-sink name is not an event."""
-        good = """
-            def emit(fh):
-                fh.write({"type": "spam"})
-        """
-        assert run_rule("S302", good, "src/repro/obs/x.py") == []
-
-
 class TestS303TestImportInLibrary:
     """S303 keeps the src → tests dependency arrow one-way."""
 

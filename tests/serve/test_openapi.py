@@ -1,9 +1,8 @@
-"""OpenAPI spec: sync with the checked-in file, live-response conformance.
+"""OpenAPI spec: shape, live-response conformance and the module CLI.
 
-Mirrors the telemetry-schema discipline (``tests/obs/test_schema.py``):
 ``schemas/openapi-serve.json`` is generated from
-:func:`repro.serve.openapi.openapi_spec` and committed; drifting the code
-without regenerating the file fails here, not in a consumer.
+:func:`repro.serve.openapi.openapi_spec` and committed; its sync test
+lives with the other checked-in schemas in ``tests/io/test_schema.py``.
 """
 
 from __future__ import annotations
@@ -14,11 +13,9 @@ from pathlib import Path
 import pytest
 
 from repro.serve import ServeApp, openapi_spec, validate_response
-from repro.serve.openapi import SPEC_PATH, render_spec
+from repro.serve.openapi import SPEC_PATH, _main as openapi_main, render_spec
 
 from .conftest import as_json, wsgi_get, wsgi_post
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Submit token of the populated app fixture.
 TOKEN = "spec-token"
@@ -43,11 +40,6 @@ def app(store, aggregate, bank, tmp_path):
 
 
 class TestSpecFile:
-    def test_checked_in_spec_is_current(self):
-        """Regenerate with ``python -m repro.serve.openapi`` on mismatch."""
-        committed = (REPO_ROOT / SPEC_PATH).read_text(encoding="utf-8")
-        assert committed == render_spec()
-
     def test_spec_shape(self):
         spec = openapi_spec()
         assert spec["openapi"].startswith("3.1")
@@ -145,3 +137,38 @@ class TestLiveConformance:
             validate_response(
                 "/v1/pdf/volume", 200, {"campaign": "c"}
             )
+
+
+class TestModuleCli:
+    """``python -m repro.serve.openapi`` honours the 0/1/2 exit contract."""
+
+    def _body(self, tmp_path: Path, payload) -> str:
+        path = tmp_path / "body.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return str(path)
+
+    def test_conforming_body_exits_zero(self, tmp_path, capsys):
+        body = self._body(tmp_path, {"error": "gone", "status": 404})
+        assert openapi_main(["check", "/v1/fidelity", "404", body]) == 0
+        assert "conforms" in capsys.readouterr().out
+
+    def test_breach_prints_one_line_and_exits_one(self, tmp_path, capsys):
+        body = self._body(tmp_path, {"campaign": "c"})
+        assert openapi_main(["check", "/v1/pdf/volume", "200", body]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "missing required field" in err
+
+    def test_usage_errors_exit_two(self, capsys):
+        assert openapi_main(["check", "/v1/fidelity"]) == 2
+        assert openapi_main(["check", "/v1/fidelity", "ok", "body.json"]) == 2
+        assert openapi_main(["bogus"]) == 2
+        capsys.readouterr()  # drain argparse noise
+
+    def test_regenerate_writes_the_checked_in_document(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert openapi_main([]) == 0
+        assert (tmp_path / SPEC_PATH).read_text() == render_spec()
+        capsys.readouterr()

@@ -341,6 +341,7 @@ class TestTelemetry:
 
         counts = validate_events_file(tel / "events.jsonl")
         assert counts["span"] >= 1
+        assert counts["stage"] >= 1
         assert counts["metrics"] == 1
         manifest = json.loads((tel / "manifest.json").read_text())
         assert manifest["command"] == "generate"
@@ -428,6 +429,52 @@ class TestTelemetry:
         capsys.readouterr()
         assert code == 0
         assert (tel / "profile-simulate.pstats").exists()
+
+
+class TestUsageErrors:
+    """Library errors from bad paths print one line and exit 2."""
+
+    def _assert_one_line(self, capsys, needle):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert needle in err
+
+    def test_verify_outside_the_repo(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_BASELINE", raising=False)
+        assert main(["--seed", "0", "verify"]) == 2
+        self._assert_one_line(capsys, "paper_claims.json")
+
+    @pytest.mark.parametrize("command", ["generate", "campaign"])
+    def test_missing_release(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "absent.json")
+        argv = [command, "--models", missing, "--bs", "1", "--days", "1"]
+        assert main(["--seed", "0", *argv]) == 2
+        self._assert_one_line(capsys, "absent.json")
+
+    def test_fit_from_missing_trace(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.csv")
+        argv = ["fit", "--from-trace", missing, "--output", "x.json"]
+        assert main(["--seed", "0", *argv]) == 2
+        self._assert_one_line(capsys, "absent.csv")
+
+    def test_generate_trace_into_missing_directory(
+        self, tmp_path, bank, capsys
+    ):
+        from repro.core.arrivals import ArrivalModel
+        from repro.io.params import save_release
+
+        release = tmp_path / "release.json"
+        save_release(
+            release,
+            bank,
+            {"d1": ArrivalModel(peak_mu=2.0, peak_sigma=0.5, night_scale=0.4)},
+        )
+        trace = str(tmp_path / "absent" / "out.csv")
+        argv = ["generate", "--models", str(release), "--bs", "1",
+                "--days", "1", "--trace", trace]
+        assert main(["--seed", "0", *argv]) == 2
+        self._assert_one_line(capsys, "out.csv")
 
 
 class TestTraceFlags:
